@@ -55,7 +55,7 @@ func main() {
 		xl      = flag.Bool("xl", false, "include the oversized (>=512-latch) workloads in -bench")
 		xxl     = flag.Bool("xxl", false, "include the 100k-synchronizer workloads in -bench and run even the known-slow (engine, circuit) pairs")
 		compare = flag.Bool("compare", false, "compare two benchmark record sets: smobench -compare old new (directories of BENCH_*.json, or single records)")
-		sweepB  = flag.String("sweepbench", "", "write decomposed-vs-monolithic delay-sweep throughput records (SWEEP_*.json) into this directory")
+		sweepB  = flag.String("sweepbench", "", "write delay-sweep records (SWEEP_*.json: the library sweep vs one cold MCR solve per value) into this directory")
 		lpName  = flag.String("lp", "", "LP solver for every solve: revised (default) or dense")
 		profile = flag.String("profile", "", "write a CPU profile of the whole run to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")

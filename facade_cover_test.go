@@ -2,6 +2,7 @@ package mintc_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -185,8 +186,11 @@ func TestFacadeRepairSchedule(t *testing.T) {
 }
 
 func TestFacadeSweepDelays(t *testing.T) {
-	c := mintc.PaperExample1(0)
-	tcs, errs := mintc.SweepDelays(c, mintc.Options{}, 3, []float64{0, 60, 120})
+	cc, err := mintc.Freeze(mintc.PaperExample1(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcs, errs := mintc.SweepDelays(context.Background(), cc, mintc.Options{}, 3, []float64{0, 60, 120})
 	want := []float64{80, 100, 140}
 	for i := range tcs {
 		if errs[i] != nil {

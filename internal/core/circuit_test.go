@@ -204,3 +204,34 @@ func TestConstraintCountBound(t *testing.T) {
 		t.Errorf("bound = %d, want 12", got)
 	}
 }
+
+func TestCircuitClone(t *testing.T) {
+	c := example1(80)
+	c.Meta = map[string]string{"k": "v"}
+	c.SetPhaseName(0, "alpha")
+	cp := c.Clone()
+	if cp.K() != c.K() || cp.L() != c.L() || len(cp.Paths()) != len(c.Paths()) {
+		t.Fatal("clone structure differs")
+	}
+	if cp.PhaseName(0) != "alpha" || cp.Meta["k"] != "v" {
+		t.Fatal("clone lost names/meta")
+	}
+	// Independence.
+	cp.SetPathDelay(0, 999)
+	cp.Meta["k"] = "other"
+	if c.Paths()[0].Delay == 999 || c.Meta["k"] == "other" {
+		t.Fatal("clone shares storage")
+	}
+	r1, err := MinTc(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := c.Clone()
+	r2, err := MinTc(c2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r1.Schedule.Equal(r2.Schedule, 1e-12) {
+		t.Fatal("clone solves differently")
+	}
+}

@@ -102,8 +102,10 @@ func TestCompiledImmutableUnderAnalysis(t *testing.T) {
 	if _, _, err := r.TryReoptimizeDual(3, 125); err != nil {
 		t.Fatal(err)
 	}
-	if _, errs := SweepDelaysCompiled(cc, opts, 3, []float64{10, 60, 110}); errs[0] != nil || errs[1] != nil || errs[2] != nil {
-		t.Fatalf("sweep errors: %v", errs)
+	for _, v := range []float64{10, 60, 110} {
+		if _, err := MinTcOverlay(base.With(3, v), opts); err != nil {
+			t.Fatalf("Δ41=%g: %v", v, err)
+		}
 	}
 	m := edited.Materialize()
 	if m == cc.Circuit() {

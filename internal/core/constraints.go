@@ -183,10 +183,8 @@ func (o Options) Validate() error {
 
 // The three RHS formulas below are the only places a path's delay
 // enters the LP — always through the right-hand side, never a
-// coefficient. buildLPOv evaluates them when generating rows, and the
-// delay sweep re-evaluates exactly the same functions to build
-// lp.RHSPatch variants, so the batched path cannot drift from the
-// row generator.
+// coefficient. buildLPOv and the per-component builder both evaluate
+// them, so the two row generators cannot drift apart.
 
 // propagationRHS is the RHS of a latch-destination L2R row for path
 // pidx: the margin-adjusted arc weight ΔDQ_j + Δ_ji + margins.

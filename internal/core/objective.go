@@ -137,7 +137,7 @@ func (o Objective) auxVarName() string {
 
 // requireMinTc rejects schedule objectives from workflows whose
 // semantics are tied to cycle-time minimization (parametric walks,
-// delay sweeps, lexicographic tie-breaks, incremental reoptimization).
+// lexicographic tie-breaks, incremental reoptimization).
 func requireMinTc(op string, opts Options) error {
 	if opts.Objective.IsMinTc() {
 		return nil

@@ -89,18 +89,6 @@ func (o DelayOverlay) With(pidx int, d float64) DelayOverlay {
 	return out
 }
 
-// withChecked is With returning an error instead of panicking on an
-// invalid delay — used where delays arrive from user-supplied value
-// lists (sweeps) rather than program logic.
-func withChecked(o DelayOverlay, pidx int, d float64) (ov DelayOverlay, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	return o.With(pidx, d), nil
-}
-
 // Delay returns the effective worst-case delay of path pidx.
 func (o DelayOverlay) Delay(pidx int) float64 {
 	if e, ok := o.edits[int32(pidx)]; ok {

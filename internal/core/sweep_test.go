@@ -1,34 +1,55 @@
-package core
+package core_test
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
+
+	"mintc/internal/circuits"
+	"mintc/internal/core"
+	"mintc/internal/decomp"
 )
 
+// The library delay sweep lives in internal/decomp (core cannot import
+// it); these tests pin its contract on core's own reference circuit,
+// the paper's Example 1.
+
+func sweep(cc *core.Compiled, opts core.Options, pathIndex int, values []float64) ([]float64, []error) {
+	return decomp.Sweep(context.Background(), cc, opts, pathIndex, values, decomp.Config{}, nil)
+}
+
 func TestSweepDelaysMatchesSerial(t *testing.T) {
-	c := example1(0)
+	c := circuits.Example1(0)
+	cc, err := c.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var values []float64
 	for d := 0.0; d <= 150; d += 3 {
 		values = append(values, d)
 	}
-	tcs, errs := SweepDelays(c, Options{}, 3, values)
+	tcs, errs := sweep(cc, core.Options{}, 3, values)
 	for i, d := range values {
 		if errs[i] != nil {
 			t.Fatalf("Δ41=%g: %v", d, errs[i])
 		}
-		if want := example1OptTc(d); math.Abs(tcs[i]-want) > 1e-6 {
-			t.Errorf("Δ41=%g: parallel %g vs formula %g", d, tcs[i], want)
+		if want := circuits.Example1OptimalTc(d); math.Abs(tcs[i]-want) > 1e-6 {
+			t.Errorf("Δ41=%g: swept %g vs Fig. 7 formula %g", d, tcs[i], want)
 		}
 	}
 	// The source circuit is untouched.
-	if c.Paths()[3].Delay != 0 {
-		t.Errorf("sweep mutated the input circuit: %g", c.Paths()[3].Delay)
+	if c.Paths()[3].Delay != 0 || cc.Circuit().Paths()[3].Delay != 0 {
+		t.Errorf("sweep mutated the input circuit")
 	}
 }
 
 func TestSweepDelaysBadPath(t *testing.T) {
-	c := example1(0)
-	_, errs := SweepDelays(c, Options{}, 99, []float64{1, 2})
+	cc, err := circuits.Example1(0).Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, errs := sweep(cc, core.Options{}, 99, []float64{1, 2})
 	for _, err := range errs {
 		if err == nil {
 			t.Fatal("bad path accepted")
@@ -37,107 +58,26 @@ func TestSweepDelaysBadPath(t *testing.T) {
 }
 
 func TestSweepDelaysEmpty(t *testing.T) {
-	c := example1(0)
-	tcs, errs := SweepDelays(c, Options{}, 0, nil)
+	cc, err := circuits.Example1(0).Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcs, errs := sweep(cc, core.Options{}, 0, nil)
 	if len(tcs) != 0 || len(errs) != 0 {
 		t.Fatal("nonempty result for empty sweep")
 	}
 }
 
-func TestCircuitClone(t *testing.T) {
-	c := example1(80)
-	c.Meta = map[string]string{"k": "v"}
-	c.SetPhaseName(0, "alpha")
-	cp := c.Clone()
-	if cp.K() != c.K() || cp.L() != c.L() || len(cp.Paths()) != len(c.Paths()) {
-		t.Fatal("clone structure differs")
-	}
-	if cp.PhaseName(0) != "alpha" || cp.Meta["k"] != "v" {
-		t.Fatal("clone lost names/meta")
-	}
-	// Independence.
-	cp.SetPathDelay(0, 999)
-	cp.Meta["k"] = "other"
-	if c.Paths()[0].Delay == 999 || c.Meta["k"] == "other" {
-		t.Fatal("clone shares storage")
-	}
-	r1, err := MinTc(c, Options{})
+// TestSweepRejectsScheduleObjectives: like MinTcLex and
+// ParametricDelay, the sweep is tied to cycle-time minimization and
+// must reject a schedule objective instead of answering min-Tc.
+func TestSweepRejectsScheduleObjectives(t *testing.T) {
+	cc, err := circuits.Example1(80).Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := c.Clone()
-	r2, err := MinTc(c2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1.Schedule.Equal(r2.Schedule, 1e-12) {
-		t.Fatal("clone solves differently")
-	}
-}
-
-// TestSweepParametricMatchesBatch pins the parametric walk against the
-// batched-LP sweep directly (bypassing SweepDelaysCompiled's routing):
-// on the same value list — unsorted, with duplicates, spanning all
-// three segments of the Fig. 7 curve, plus invalid entries — the two
-// engines must agree to 1e-9 relative on every value and report
-// per-value errors for the same entries.
-func TestSweepParametricMatchesBatch(t *testing.T) {
-	cc, err := example1(0).Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var values []float64
-	for d := 155.0; d >= 0; d -= 2.5 { // descending: order must not matter
-		values = append(values, d)
-	}
-	values = append(values, 42, 42, -3, math.NaN(), math.Inf(1))
-	for _, opts := range []Options{{}, {Skew: 0.3}, {MinPhaseWidth: 4}} {
-		ptcs := make([]float64, len(values))
-		perrs := make([]error, len(values))
-		if !sweepDelaysParametric(cc, opts, 3, values, ptcs, perrs) {
-			t.Fatalf("opts %+v: parametric walk declined a plain min-Tc sweep", opts)
-		}
-		btcs := make([]float64, len(values))
-		berrs := make([]error, len(values))
-		sweepDelaysBatch(cc, opts, 3, values, btcs, berrs)
-		for i, v := range values {
-			if (perrs[i] == nil) != (berrs[i] == nil) {
-				t.Errorf("value %g: error mismatch: parametric %v vs batch %v", v, perrs[i], berrs[i])
-				continue
-			}
-			if perrs[i] != nil {
-				if perrs[i].Error() != berrs[i].Error() {
-					t.Errorf("value %g: error text differs: %q vs %q", v, perrs[i], berrs[i])
-				}
-				continue
-			}
-			if d := math.Abs(ptcs[i]-btcs[i]) / (1 + math.Abs(btcs[i])); d > 1e-9 {
-				t.Errorf("value %g: parametric %.12g vs batch %.12g (rel %.3g)", v, ptcs[i], btcs[i], d)
-			}
-		}
-	}
-}
-
-// TestSweepRoutesShortListsToBatch: below the parametric floor the
-// compiled sweep must not pay a walk — pinned here only through the
-// public answer staying exact for a 3-value list (the batch path), and
-// the routing constant staying in range.
-func TestSweepRoutesShortListsToBatch(t *testing.T) {
-	if minParametricSweep < 2 {
-		t.Fatalf("minParametricSweep = %d: routing floor degenerate", minParametricSweep)
-	}
-	cc, err := example1(0).Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := []float64{10, 80, 150}
-	tcs, errs := SweepDelaysCompiled(cc, Options{}, 3, values)
-	for i, v := range values {
-		if errs[i] != nil {
-			t.Fatalf("Δ41=%g: %v", v, errs[i])
-		}
-		if want := example1OptTc(v); math.Abs(tcs[i]-want) > 1e-6 {
-			t.Errorf("Δ41=%g: %g vs formula %g", v, tcs[i], want)
-		}
+	_, errs := sweep(cc, core.Options{Objective: core.MaxMarginAt(130)}, 0, []float64{1})
+	if len(errs) == 0 || errs[0] == nil || !strings.Contains(errs[0].Error(), "min-Tc objective") {
+		t.Errorf("Sweep: errs = %v, want a min-Tc-only rejection", errs)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"mintc/internal/circuits"
 	"mintc/internal/core"
+	"mintc/internal/decomp"
 	"mintc/internal/obs"
 )
 
@@ -57,9 +58,9 @@ func TestOverlayWarmCtxReusesBasis(t *testing.T) {
 	}
 }
 
-// TestSweepWarmMatchesPerValueSolves: the basis chaining inside
-// SweepDelaysCompiled is an optimization only — every swept Tc must
-// equal an independent cold solve of the same overlay.
+// TestSweepWarmMatchesPerValueSolves: the warm witness-bound walk
+// inside the library sweep is an optimization only — every swept Tc
+// must equal an independent cold LP solve of the same overlay.
 func TestSweepWarmMatchesPerValueSolves(t *testing.T) {
 	cc, err := circuits.GaAsMIPS().Freeze()
 	if err != nil {
@@ -67,7 +68,7 @@ func TestSweepWarmMatchesPerValueSolves(t *testing.T) {
 	}
 	d0 := cc.Circuit().Paths()[0].Delay
 	values := []float64{d0 * 0.5, d0 * 0.8, d0, d0 * 1.2, d0 * 1.7, d0 * 2.5, d0 * 4}
-	tcs, errs := core.SweepDelaysCompiled(cc, core.Options{}, 0, values)
+	tcs, errs := decomp.Sweep(context.Background(), cc, core.Options{}, 0, values, decomp.Config{}, nil)
 	for i, v := range values {
 		if errs[i] != nil {
 			t.Fatalf("value %g: %v", v, errs[i])

@@ -248,88 +248,3 @@ func TestLPBackendParity(t *testing.T) {
 		}
 	}
 }
-
-// TestSweepParity: the decomposed sweep must reproduce the monolithic
-// batched-LP sweep value for value, including the invalid-value and
-// cross-arc cases, under every option variant.
-func TestSweepParity(t *testing.T) {
-	cc, cross := banksWithCross(t)
-	values := []float64{0, 5, 20, 30, 31, 60, 120, -1, math.NaN(), 240}
-	for _, pidx := range []int{4, cross} {
-		for vi, opts := range optionVariants() {
-			want, wantErrs := core.SweepDelaysCompiled(cc, opts, pidx, values)
-			got, gotErrs := Sweep(cc, opts, pidx, values, Config{})
-			for i := range values {
-				if (wantErrs[i] == nil) != (gotErrs[i] == nil) {
-					t.Errorf("path %d/v%d value %g: error mismatch: core %v vs decomp %v", pidx, vi, values[i], wantErrs[i], gotErrs[i])
-					continue
-				}
-				if wantErrs[i] != nil {
-					continue
-				}
-				if d := relDiff(got[i], want[i]); d > 1e-9 {
-					t.Errorf("path %d/v%d value %g: Tc mismatch: decomp %.12g vs core %.12g (rel %.3g)", pidx, vi, values[i], got[i], want[i], d)
-				}
-			}
-		}
-	}
-}
-
-// TestSweepResolvesOnlyDirty: an intra-component sweep re-solves the
-// dirty bank once per value (plus the priming pass); a cross-arc sweep
-// re-solves nothing per value.
-func TestSweepResolvesOnlyDirty(t *testing.T) {
-	cc, cross := banksWithCross(t)
-	values := []float64{10, 20, 30, 40, 50}
-	run := func(pidx int) int64 {
-		rec := obs.New()
-		ctx := obs.With(context.Background(), rec)
-		_, errs := SweepCtx(ctx, cc, core.Options{}, pidx, values, Config{Workers: 1})
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("value %d: %v", i, err)
-			}
-		}
-		return rec.Snapshot().Counters["components_resolved"]
-	}
-	const primed = 3
-	if got := run(4); got != primed+int64(len(values)) {
-		t.Errorf("intra sweep resolved %d, want %d", got, primed+len(values))
-	}
-	if got := run(cross); got != primed {
-		t.Errorf("cross sweep resolved %d, want %d", got, primed)
-	}
-}
-
-// TestSweepHoldClamp: sweeping a delay below the path's best-case
-// delay under DesignForHold exercises the solver-side MinDelay clamp;
-// the decomposed sweep must track the LP sweep through it.
-func TestSweepHoldClamp(t *testing.T) {
-	c := core.NewCircuit(2)
-	for i := 0; i < 4; i++ {
-		c.AddSync(core.Synchronizer{Kind: core.Latch, Phase: i % 2, Setup: 1, DQ: 2, Hold: 0.8})
-	}
-	for i := 0; i < 4; i++ {
-		c.AddPath(i, (i+1)%4, 25)
-	}
-	cc, err := c.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := core.Options{DesignForHold: true}
-	values := []float64{40, 25, 10, 3, 1, 0.5, 30}
-	want, wantErrs := core.SweepDelaysCompiled(cc, opts, 2, values)
-	got, gotErrs := Sweep(cc, opts, 2, values, Config{})
-	for i := range values {
-		if (wantErrs[i] == nil) != (gotErrs[i] == nil) {
-			t.Errorf("value %g: error mismatch: core %v vs decomp %v", values[i], wantErrs[i], gotErrs[i])
-			continue
-		}
-		if wantErrs[i] != nil {
-			continue
-		}
-		if d := relDiff(got[i], want[i]); d > 1e-9 {
-			t.Errorf("value %g: Tc mismatch: decomp %.12g vs core %.12g", values[i], got[i], want[i])
-		}
-	}
-}

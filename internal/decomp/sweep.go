@@ -19,26 +19,17 @@ import (
 // candidate. Editing a cross-component arc re-solves no component at
 // all; each value pays one coupling pass.
 //
-// The interface mirrors core.SweepDelaysCompiled: results in input
-// order, per-value errors (an infeasible value carries a typed
-// mcr.InfeasibleError), one frozen snapshot shared by all workers.
-// Answers agree with the monolithic sweep to solver tolerance.
-func Sweep(cc *core.Compiled, opts core.Options, pathIndex int, values []float64, cfg Config) ([]float64, []error) {
-	return SweepCtx(context.Background(), cc, opts, pathIndex, values, cfg)
-}
-
-// SweepCtx is Sweep with cancellation; any obs recorder carried by the
-// context receives the probe and component counters.
-func SweepCtx(ctx context.Context, cc *core.Compiled, opts core.Options, pathIndex int, values []float64, cfg Config) ([]float64, []error) {
-	return SweepStateCtx(ctx, cc, opts, pathIndex, values, cfg, nil)
-}
-
-// SweepStateCtx is SweepCtx priming its per-component answers through
-// a shared State (nil = a private one): a sweep over a path whose
-// component answers are already cached — or whose edit touches a
-// cross-component arc, which dirties no component at all — re-solves
-// nothing during priming, paying only the per-value coupling passes.
-func SweepStateCtx(ctx context.Context, cc *core.Compiled, opts core.Options, pathIndex int, values []float64, cfg Config, st *State) ([]float64, []error) {
+// Results come back in input order with per-value errors (an invalid
+// delay, or a typed mcr.InfeasibleError under a pinned FixedTc), one
+// frozen snapshot shared by all workers; every answer matches a
+// per-value MinTcOverlay to solver tolerance and is bitwise the same
+// for any cfg.Workers. Only the min-Tc objective is supported. The
+// priming answers go through st (nil = a private State): a sweep over
+// a path whose component answers are already cached — or whose edit
+// touches a cross-component arc, which dirties no component at all —
+// re-solves nothing during priming. Any obs recorder carried by ctx
+// receives the probe and component counters.
+func Sweep(ctx context.Context, cc *core.Compiled, opts core.Options, pathIndex int, values []float64, cfg Config, st *State) ([]float64, []error) {
 	tcs := make([]float64, len(values))
 	errs := make([]error, len(values))
 	fail := func(err error) ([]float64, []error) {
@@ -53,6 +44,9 @@ func SweepStateCtx(ctx context.Context, cc *core.Compiled, opts core.Options, pa
 	if err := opts.ValidateFor(cc.Circuit()); err != nil {
 		return fail(err)
 	}
+	if !opts.Objective.IsMinTc() {
+		return fail(fmt.Errorf("decomp: Sweep requires the min-Tc objective, got %s", opts.Objective))
+	}
 	if len(values) == 0 {
 		return tcs, errs
 	}
@@ -64,8 +58,8 @@ func SweepStateCtx(ctx context.Context, cc *core.Compiled, opts core.Options, pa
 
 	// Prime every component once at the base delays. The per-component
 	// solves drop FixedTc (Solve does the same); the coupling pass
-	// below keeps it, so pinned-Tc semantics match the monolithic
-	// sweep per value.
+	// below keeps it, so pinned-Tc semantics match a per-value
+	// monolithic solve.
 	if st == nil {
 		st = NewState()
 	}

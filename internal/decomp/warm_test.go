@@ -12,8 +12,8 @@ import (
 // TestSweepPrimedStateZeroComponentSolves: a sweep over a
 // cross-component arc with a pre-primed shared State performs ZERO
 // component solves — priming is pure cache hits and the cross arc
-// dirties no component — while the answers still match the monolithic
-// batched-LP sweep.
+// dirties no component — while the answers still match one exact solve
+// per value.
 func TestSweepPrimedStateZeroComponentSolves(t *testing.T) {
 	cc, cross := banksWithCross(t)
 	opts := core.Options{}
@@ -24,7 +24,7 @@ func TestSweepPrimedStateZeroComponentSolves(t *testing.T) {
 	values := []float64{10, 20, 30, 40, 50}
 	rec := obs.New()
 	ctx := obs.With(context.Background(), rec)
-	got, errs := SweepStateCtx(ctx, cc, opts, cross, values, Config{Workers: 1}, st)
+	got, errs := Sweep(ctx, cc, opts, cross, values, Config{Workers: 1}, st)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("value %g: %v", values[i], err)
@@ -33,13 +33,13 @@ func TestSweepPrimedStateZeroComponentSolves(t *testing.T) {
 	if n := rec.Snapshot().Counters["components_resolved"]; n != 0 {
 		t.Errorf("primed cross-arc sweep solved %d components, want 0", n)
 	}
-	want, wantErrs := core.SweepDelaysCompiled(cc, opts, cross, values)
+	want, wantErrs := oracleSweep(cc, opts, cross, values)
 	for i := range values {
 		if wantErrs[i] != nil {
-			t.Fatalf("core sweep value %g: %v", values[i], wantErrs[i])
+			t.Fatalf("oracle value %g: %v", values[i], wantErrs[i])
 		}
 		if d := relDiff(got[i], want[i]); d > 1e-9 {
-			t.Errorf("value %g: Tc mismatch: decomp %.12g vs core %.12g", values[i], got[i], want[i])
+			t.Errorf("value %g: Tc mismatch: sweep %.12g vs oracle %.12g", values[i], got[i], want[i])
 		}
 	}
 }
@@ -57,7 +57,7 @@ func TestSweepPrimedStateIntraDirty(t *testing.T) {
 	values := []float64{10, 20, 30, 40, 50}
 	rec := obs.New()
 	ctx := obs.With(context.Background(), rec)
-	_, errs := SweepStateCtx(ctx, cc, opts, 4, values, Config{Workers: 1}, st)
+	_, errs := Sweep(ctx, cc, opts, 4, values, Config{Workers: 1}, st)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("value %g: %v", values[i], err)

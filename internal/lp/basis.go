@@ -327,68 +327,6 @@ func (b *basisLU) ftran(v, out []float64) {
 	}
 }
 
-// ftranN solves B w_j = v_j for each of the k dense row-indexed
-// vectors in vs, writing position-indexed results into outs; zs
-// supplies one m-length scratch vector per RHS. Per-vector arithmetic
-// is performed in exactly the order ftran would use, so each result is
-// bit-identical to a standalone ftran of the same vector — the win is
-// one pass over the L/U/eta index structure shared by all k vectors
-// instead of k passes. Every v_j is left zeroed for reuse.
-func (b *basisLU) ftranN(vs, outs, zs [][]float64) {
-	m, n := b.m, len(vs)
-	for k := 0; k < m; k++ {
-		p := b.p[k]
-		lo, hi := b.lp[k], b.lp[k+1]
-		for j := 0; j < n; j++ {
-			v := vs[j]
-			xv := v[p]
-			if xv == 0 {
-				continue
-			}
-			for e := lo; e < hi; e++ {
-				v[b.li[e]] -= b.lx[e] * xv
-			}
-		}
-	}
-	for k := m - 1; k >= 0; k-- {
-		r := b.p[k]
-		lo, hi := b.up[k], b.up[k+1]
-		for j := 0; j < n; j++ {
-			v := vs[j]
-			zk := v[r] / b.ud[k]
-			v[r] = 0
-			zs[j][k] = zk
-			if zk == 0 {
-				continue
-			}
-			for e := lo; e < hi; e++ {
-				v[b.p[b.ui[e]]] -= b.ux[e] * zk
-			}
-		}
-	}
-	for j := 0; j < n; j++ {
-		out, z := outs[j], zs[j]
-		for k := 0; k < m; k++ {
-			out[b.q[k]] = z[k]
-		}
-	}
-	for i := 0; i < len(b.etaPos); i++ {
-		pos := b.etaPos[i]
-		lo, hi := b.etaStart[i], b.etaStart[i+1]
-		for j := 0; j < n; j++ {
-			out := outs[j]
-			xr := out[pos] / b.etaDiag[i]
-			out[pos] = xr
-			if xr == 0 {
-				continue
-			}
-			for e := lo; e < hi; e++ {
-				out[b.etaIdx[e]] -= b.etaVals[e] * xr
-			}
-		}
-	}
-}
-
 // btran solves B^T y = c. c is dense and basis-position-indexed and is
 // consumed as scratch; the result is dense and row-indexed, written
 // into out (len m, fully overwritten).

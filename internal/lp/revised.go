@@ -61,19 +61,10 @@ func (r *revised) resetCold() {
 func solveRevised(ctx context.Context, p *Problem, warm *Basis) (*Solution, error) {
 	ar := getArena()
 	defer ar.release()
-	sol, _, err := solveRevisedArena(ctx, p, warm, ar)
-	return sol, err
-}
-
-// solveRevisedArena is solveRevised running on an explicit scratch
-// arena. The returned *revised stays valid (pointing into the arena)
-// until the arena is released; SolveBatch keeps using it for batched
-// variant re-solves after the base solve finishes.
-func solveRevisedArena(ctx context.Context, p *Problem, warm *Basis, ar *arena) (*Solution, *revised, error) {
 	tA := time.Now()
 	st, err := assemble(ctx, p, ar)
 	if err != nil {
-		return &Solution{}, nil, err
+		return &Solution{}, err
 	}
 	r := ar.revisedFor(st)
 	r.stats.Nnz = st.nnz
@@ -89,7 +80,7 @@ func solveRevisedArena(ctx context.Context, p *Problem, warm *Basis, ar *arena) 
 		r.stats.ScratchGrows = ar.grows
 		sol.Stats = r.stats
 	}
-	return sol, r, err
+	return sol, err
 }
 
 func (r *revised) run(ctx context.Context, p *Problem, warm *Basis) (*Solution, error) {

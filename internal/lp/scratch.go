@@ -46,11 +46,6 @@ type arena struct {
 	counts []int32
 	next   []int32
 
-	// batched-FTRAN workspace (SolveBatch): flat k×m blocks plus the
-	// per-vector slice headers handed to ftranN.
-	batchBuf []float64
-	batchVec [][]float64
-
 	used   bool // the arena has served at least one earlier solve
 	reused bool // this acquisition recycled a previously used arena
 	grows  int  // buffers (re)grown during the current solve
@@ -156,19 +151,4 @@ func (a *arena) revisedFor(st *store) *revised {
 	r.pivots = 0
 	r.stats = SolveStats{}
 	return r
-}
-
-// batchVectors returns k m-length float64 slices backed by one flat
-// arena block (row-major), for SolveBatch's multi-RHS FTRAN.
-func (a *arena) batchVectors(k, m int) [][]float64 {
-	buf := growF64(a, &a.batchBuf, k*m)
-	if cap(a.batchVec) < k {
-		a.batchVec = make([][]float64, k)
-		a.grows++
-	}
-	vecs := a.batchVec[:k]
-	for j := 0; j < k; j++ {
-		vecs[j] = buf[j*m : (j+1)*m : (j+1)*m]
-	}
-	return vecs
 }

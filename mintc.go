@@ -486,14 +486,6 @@ func RepairSchedule(c *Circuit, sched *Schedule, opts Options, maxScale float64)
 	return core.RepairSchedule(c, sched, opts, maxScale)
 }
 
-// SweepDelays solves the design problem at each delay value for one
-// path in parallel (the circuit is frozen once and workers share the
-// snapshot through delay overlays). The bulk counterpart of
-// ParametricDelay.
-func SweepDelays(c *Circuit, opts Options, pathIndex int, values []float64) ([]float64, []error) {
-	return core.SweepDelays(c, opts, pathIndex, values)
-}
-
 // Unified engine layer: every cycle-time solver in the package — the
 // exact Algorithm MLP ("mlp"), the min-cycle-ratio engine ("mcr"), the
 // NRIP reconstruction ("nrip"), the edge-triggered baseline ("ettf")
@@ -727,13 +719,17 @@ func MinTcDecomposedCtx(ctx context.Context, ov DelayOverlay, opts Options, cfg 
 	return decomp.Solve(ctx, ov, opts, cfg, st)
 }
 
-// SweepDelaysDecomposed is SweepDelays routed through the decomposed
-// solver: per value, only the edited path's component is re-solved and
-// a warm global probe re-certifies the combined bound — on circuits
-// with many components this is several times faster than the
-// monolithic sweep, with matching results.
-func SweepDelaysDecomposed(cc *Compiled, opts Options, pathIndex int, values []float64, cfg DecompConfig) ([]float64, []error) {
-	return decomp.Sweep(cc, opts, pathIndex, values, cfg)
+// SweepDelays solves the design problem at each delay value for one
+// path of a frozen snapshot — the bulk counterpart of ParametricDelay,
+// for arbitrary value lists. It runs the decomposed solver: per value,
+// only the edited path's component is re-solved, and a warm global
+// probe that starts from the previous value's binding cycle
+// re-certifies the combined bound. Results come back in input order
+// and match a per-value MinTc to solver tolerance; a value that fails
+// (invalid delay, infeasible under a pinned FixedTc) carries its error
+// at its index. Only the min-Tc objective is supported.
+func SweepDelays(ctx context.Context, cc *Compiled, opts Options, pathIndex int, values []float64) ([]float64, []error) {
+	return decomp.Sweep(ctx, cc, opts, pathIndex, values, DecompConfig{}, nil)
 }
 
 // NewSession opens an analysis session over a frozen snapshot. All
