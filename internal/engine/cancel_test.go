@@ -62,6 +62,10 @@ func TestMinTcDeadlineLargeCircuit(t *testing.T) {
 func TestMidSolveCancellation(t *testing.T) {
 	pipe := largePipeline()
 	ring := largeRing(t, 6000)
+	// The mcr solve must still be running when the cancel fires. On a
+	// 2-vCPU host a 6000-latch ring solves in about 12 ms, before the
+	// 20 ms cancel; a 100k-latch one takes about 0.3 s.
+	bigRing := largeRing(t, 100000)
 
 	// A valid 4-phase schedule from a small circuit: schedules are
 	// per-phase, so it drives the simulator on any 4-phase workload.
@@ -79,7 +83,7 @@ func TestMidSolveCancellation(t *testing.T) {
 		{name: "mlp", c: pipe},
 		{name: "ettf", c: pipe},
 		{name: "nrip", c: pipe},
-		{name: "mcr", c: ring},
+		{name: "mcr", c: bigRing},
 		{name: "sim", c: ring, opts: engine.Options{
 			Schedule:  opt.Schedule,
 			SimCycles: 2_000_000,

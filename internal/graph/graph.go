@@ -244,7 +244,9 @@ type LongestPathsResult struct {
 	// zero Edge with From==-1 when v is the source or unreachable.
 	Pred []Edge
 	// PositiveCycle is non-nil if a reachable cycle of positive total
-	// weight exists; it contains the nodes of one such cycle in order.
+	// weight exists; it contains the nodes of one such cycle in edge
+	// order: an edge runs from each node to the next, and from the last
+	// back to the first.
 	PositiveCycle []int
 }
 
@@ -297,7 +299,8 @@ func (g *Graph) LongestPathsFrom(src int) LongestPathsResult {
 const relaxEps = 1e-9
 
 // traceCycle walks predecessor edges from a node known to be affected
-// by a positive cycle and extracts the cycle's node sequence.
+// by a positive cycle and extracts the cycle's node sequence in edge
+// order (the predecessor walk meets the nodes in reverse).
 func (g *Graph) traceCycle(pred []Edge, v int) []int {
 	// After n relaxations v is on or reachable from the cycle; walk
 	// back n steps to land on the cycle itself.
@@ -311,7 +314,11 @@ func (g *Graph) traceCycle(pred []Edge, v int) []int {
 	var path []int
 	for {
 		if at, ok := seen[v]; ok {
-			return path[at:]
+			cyc := path[at:]
+			for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
+				cyc[i], cyc[j] = cyc[j], cyc[i]
+			}
+			return cyc
 		}
 		seen[v] = len(path)
 		path = append(path, v)

@@ -19,8 +19,12 @@
 // cycle time.
 //
 // Two engines are provided: Solve (Lawler-style witness-cycle jumping,
-// exact up to floating point, usually a handful of Bellman–Ford runs)
-// and SolveBinary (plain bisection, used for cross-checking).
+// exact up to floating point) and SolveBinary (plain bisection, used
+// for cross-checking). After each infeasible probe Solve also runs
+// Howard's policy iteration seeded from the probe's predecessor graph
+// (howard.go) and jumps to the larger of its best cycle ratio and the
+// witness's, so a solve takes a handful of Bellman–Ford runs even where
+// the witnesses alone would crawl through nearly critical cycles.
 package mcr
 
 import (
@@ -106,6 +110,9 @@ type builder struct {
 	chunkSizeOver int // sources per chunk (0 = default)
 	lanes         []*probeLane
 	chunkRefs     []chunkRef
+	// Policy-iteration scratch (howard.go), allocated on the first
+	// infeasible probe that runs it.
+	how howardScratch
 }
 
 // edge encodes the difference constraint x[to] >= x[from] + a + b*Tc.
@@ -482,9 +489,12 @@ var errDenseFallback = errors.New("mcr: worklist saturated without witness")
 // of the seed sweep, and waiting for the round-n+1 saturation bound —
 // the policy before the scan existed — is what made a single cold
 // infeasible probe cost n dense rounds (the entire ring-2x100k solve
-// was one such probe). An early witness may be weaker than the
-// saturation one — worst case a few extra Lawler jumps, each paid with
-// a cheap warm probe; each O(n) scan is amortized by the doubling.
+// was one such probe). An early witness may be much weaker than the
+// saturation one: on the uniform ring-2x10k the witnesses alone take
+// 583 probes to reach the optimum. solveFrom therefore follows every
+// infeasible probe with the policy-iteration step, which turns the weak
+// witness's pred graph into a near-optimal cycle; each O(n) scan is
+// amortized by the doubling.
 const scanStartRound = 16
 
 // drainSerial is the per-node worklist drain used below the chunked
@@ -732,7 +742,8 @@ func (b *builder) probeDense(ctx context.Context, tc float64) (dist []float64, w
 
 // Solve computes the optimal cycle time by Lawler-style witness
 // jumping: start at a lower bound, and while the system is infeasible,
-// jump to the ratio of the witness cycle. Each jump strictly increases
+// jump to the ratio of the witness cycle (or of the better cycle the
+// policy-iteration step finds, see solveFrom). Each jump strictly increases
 // the candidate through the finite set of simple-cycle ratios, so the
 // loop terminates with the exact maximum cycle ratio.
 func Solve(c *core.Circuit, opts core.Options) (*Result, error) {
@@ -800,6 +811,14 @@ func solveWith(ctx context.Context, b *builder, opts core.Options) (*Result, err
 // the previous solve on the same builder; any finite potentials are
 // admissible starting points for the Bellman–Ford feasibility probe
 // (shift invariance), so this changes cost, never answers.
+//
+// Each infeasible probe is followed by Howard's policy iteration on the
+// probe's predecessor graph (howard.go). Its best policy cycle is a
+// real cycle, so its ratio is as sound a lower bound as the witness's;
+// the loop jumps to it, and records it as the witness, when it beats
+// the witness ratio by more than eps. The probes alone still decide
+// feasibility, and the Lawler jumps finish whatever the policy
+// iteration leaves.
 func solveFrom(ctx context.Context, b *builder, opts core.Options, lower float64, extract, firstWarm bool) (*Result, error) {
 	rec := obs.From(ctx)
 	res := &Result{}
@@ -862,6 +881,27 @@ func solveFrom(ctx context.Context, b *builder, opts core.Options, lower float64
 			return nil, &InfeasibleError{Arcs: b.cycleArcs(witness)}
 		}
 		ratio := sumA / (-sumB)
+		// On a tie the policy cycle may be the witness's own cycle or
+		// an equally critical one, its ratio summed from another start
+		// and so off in the last bit. The eps margin keeps the witness
+		// then: decomp.Sweep answers must not depend on worker count.
+		hr, hcyc, stable, err := b.howard(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if hr > ratio+eps {
+			ratio = hr
+			b.witIdx = append(b.witIdx[:0], hcyc...)
+			witness = b.edgesOf(hcyc)
+		}
+		if stable {
+			// A stable policy's potentials already satisfy every
+			// constraint at its ratio, which is the maximum: seeding the
+			// next warm probe with them leaves it nothing to relax, where
+			// this probe's pumped potentials would send a correction
+			// wave once around every critical loop.
+			copy(b.dist, b.how.pot)
+		}
 		if ratio <= tc+eps {
 			// Numerical guard: force progress.
 			ratio = tc + eps*10

@@ -584,6 +584,13 @@ func (s *Server) Serve(l net.Listener) error {
 				// been handed the typed drain error, and Drain's deadlines
 				// bound the wait.
 				<-s.doneCh
+				// A handler that has returned may still have its last
+				// bytes (a stream's final record, the chunked trailer)
+				// buffered in net/http; Shutdown lets those connections
+				// flush and go idle before the deferred Close.
+				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				_ = httpSrv.Shutdown(ctx) // the deadline error only means Close cuts the rest
+				cancel()
 				return nil
 			}
 			return err
