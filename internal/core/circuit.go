@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ElementKind distinguishes the two synchronizer types supported.
@@ -155,6 +156,54 @@ func (c *Circuit) addSync(s Synchronizer) int {
 	return len(c.syncs) - 1
 }
 
+// Build returns a k-phase circuit holding syncs and paths: the bulk
+// form of NewCircuit followed by AddSync for every synchronizer and
+// AddPathFull for every path, in order, with the same checks, the same
+// MinDelay normalization and the same fanin order. Build takes
+// ownership of both slices. The fanin lists share one backing array
+// (CSR); each row is capped at its own end, so a later AddPathFull
+// reallocates that row instead of writing into the next one.
+func Build(k int, syncs []Synchronizer, paths []Path) *Circuit {
+	c := NewCircuit(k)
+	for _, s := range syncs {
+		if s.Phase < 0 || s.Phase >= k {
+			panic(fmt.Sprintf("core: synchronizer %q uses phase %d outside [0,%d)", s.Name, s.Phase, k))
+		}
+	}
+	l := len(syncs)
+	// end[i] first counts the paths into i-1, then holds where row i
+	// starts, and after the fill where row i ends.
+	end := make([]int, l+1)
+	for i := range paths {
+		p := &paths[i]
+		if p.From < 0 || p.From >= l || p.To < 0 || p.To >= l {
+			panic(fmt.Sprintf("core: path %d->%d references unknown synchronizer (l=%d)", p.From, p.To, l))
+		}
+		if p.MinDelay < 0 {
+			p.MinDelay = p.Delay
+		}
+		end[p.To+1]++
+	}
+	for i := 1; i <= l; i++ {
+		end[i] += end[i-1]
+	}
+	buf := make([]int, len(paths))
+	for pi, p := range paths {
+		buf[end[p.To]] = pi
+		end[p.To]++
+	}
+	c.fanin = make([][]int, l)
+	lo := 0
+	for i, hi := range end[:l] {
+		if hi > lo {
+			c.fanin[i] = buf[lo:hi:hi]
+		}
+		lo = hi
+	}
+	c.syncs, c.paths = syncs, paths
+	return c
+}
+
 // AddPath adds a combinational path from synchronizer from to
 // synchronizer to with worst-case delay d, and returns its index.
 func (c *Circuit) AddPath(from, to int, d float64) int {
@@ -182,16 +231,8 @@ func (c *Circuit) AddPathFull(p Path) int {
 // immutable *Compiled snapshot, layering what-if edits as DelayOverlay
 // values (see Freeze and DESIGN.md §9).
 func (c *Circuit) Clone() *Circuit {
-	out := NewCircuit(c.K())
-	for p := 0; p < c.K(); p++ {
-		out.SetPhaseName(p, c.PhaseName(p))
-	}
-	for _, s := range c.syncs {
-		out.AddSync(s)
-	}
-	for _, p := range c.paths {
-		out.AddPathFull(p)
-	}
+	out := Build(c.K(), slices.Clone(c.syncs), slices.Clone(c.paths))
+	copy(out.phaseNames, c.phaseNames)
 	if c.Meta != nil {
 		out.Meta = make(map[string]string, len(c.Meta))
 		for k, v := range c.Meta {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -70,15 +69,27 @@ func (c *Circuit) Freeze() (*Compiled, error) {
 	}
 	cc.cmat = cc.c.CMatrix()
 	cc.kmat = cc.c.KMatrix()
-	cc.phaseOrder = make([]int, cc.c.L())
-	for i := range cc.phaseOrder {
-		cc.phaseOrder[i] = i
-	}
-	sort.SliceStable(cc.phaseOrder, func(a, b int) bool {
-		return cc.c.Sync(cc.phaseOrder[a]).Phase < cc.c.Sync(cc.phaseOrder[b]).Phase
-	})
+	cc.phaseOrder = phaseOrder(cc.c)
 	cc.part = newPartition(cc.c)
 	return cc, nil
+}
+
+// phaseOrder lists the synchronizers stably sorted by phase, with one
+// counting sort over the k phases.
+func phaseOrder(c *Circuit) []int {
+	start := make([]int, c.K()+1)
+	for _, s := range c.syncs {
+		start[s.Phase+1]++
+	}
+	for p := 1; p < len(start); p++ {
+		start[p] += start[p-1]
+	}
+	order := make([]int, len(c.syncs))
+	for i, s := range c.syncs {
+		order[start[s.Phase]] = i
+		start[s.Phase]++
+	}
+	return order
 }
 
 // MustFreeze is Freeze for circuits known valid (panics otherwise);

@@ -7,23 +7,25 @@ import (
 	"mintc/internal/core"
 )
 
+// fuzzCircuitSeeds seed FuzzCircuit and FuzzCircuitLegacyParity.
+var fuzzCircuitSeeds = []string{
+	"",
+	"clock 2\nlatch A phase 1 setup 1 dq 2\n",
+	"clock 2\nlatch A phase 1 setup 1 dq 2\nlatch B phase 2 setup 1 dq 2\npath A -> B delay 5\n",
+	"clock 1\nff F phase 1 setup 0.1 cq 0.2\npath F -> F delay 3 min 1 label loop\n",
+	"clock 4\nphasename 2 pre\nmeta \"a b\" c\nlatch X phase 4 setup 0 dq 0 hold 1\n",
+	"# comment\nclock 2\n latch \t A phase 1 setup 1 dq 2 # trailing\n",
+	"clock 2\nlatch A phase 1 setup 1e300 dq 1e301\n",
+	"clock 2\nlatch A phase 1 setup -1 dq 2\n",
+	"clock x\n",
+	strings.Repeat("clock 1\n", 3),
+}
+
 // FuzzCircuit checks that arbitrary input never panics the circuit
 // parser, and that anything it accepts is a valid circuit whose
 // round-trip through WriteCircuit re-parses to the same structure.
 func FuzzCircuit(f *testing.F) {
-	seeds := []string{
-		"",
-		"clock 2\nlatch A phase 1 setup 1 dq 2\n",
-		"clock 2\nlatch A phase 1 setup 1 dq 2\nlatch B phase 2 setup 1 dq 2\npath A -> B delay 5\n",
-		"clock 1\nff F phase 1 setup 0.1 cq 0.2\npath F -> F delay 3 min 1 label loop\n",
-		"clock 4\nphasename 2 pre\nmeta \"a b\" c\nlatch X phase 4 setup 0 dq 0 hold 1\n",
-		"# comment\nclock 2\n latch \t A phase 1 setup 1 dq 2 # trailing\n",
-		"clock 2\nlatch A phase 1 setup 1e300 dq 1e301\n",
-		"clock 2\nlatch A phase 1 setup -1 dq 2\n",
-		"clock x\n",
-		strings.Repeat("clock 1\n", 3),
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzCircuitSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -55,100 +55,179 @@ func errf(line int, format string, args ...any) error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Circuit parses a circuit description.
+// circuitLineLimit and scheduleLineLimit bound one line, counting its
+// newline: a longer line fails with bufio.ErrTooLong. They are the
+// buffer limits of the bufio.Scanner loops the parsers once ran.
+const (
+	circuitLineLimit  = 1 << 20
+	scheduleLineLimit = bufio.MaxScanTokenSize
+)
+
+// Circuit parses a circuit description read to the end of r.
 func Circuit(r io.Reader) (*core.Circuit, error) {
+	src, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return CircuitString(src)
+}
+
+// CircuitString parses a circuit from a string. The circuit keeps no
+// reference into s: names, labels, phase names and meta entries are
+// copied out, so a 16 MB file or a request body is not kept alive by
+// the circuit parsed from it.
+func CircuitString(s string) (*core.Circuit, error) {
+	nSync, nPath := presize(s)
 	var (
-		c      *core.Circuit
-		byName = map[string]int{}
+		k          int // 0 until the clock directive
+		syncs      = make([]core.Synchronizer, 0, nSync)
+		paths      = make([]core.Path, 0, nPath)
+		byName     = make(map[string]int, nSync)
+		phaseNames []phaseName
+		meta       map[string]string
+		sc         = scanner{s: s, limit: circuitLineLimit}
 	)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		toks, err := tokenize(sc.Text(), lineNo)
+	for {
+		toks, err := sc.next()
 		if err != nil {
 			return nil, err
 		}
-		if len(toks) == 0 {
-			continue
+		if toks == nil {
+			break
 		}
+		lineNo := sc.no
 		switch strings.ToLower(toks[0]) {
 		case "clock":
-			if c != nil {
+			if k != 0 {
 				return nil, errf(lineNo, "duplicate clock directive")
 			}
 			if len(toks) != 2 {
 				return nil, errf(lineNo, "usage: clock <k>")
 			}
-			k, err := strconv.Atoi(toks[1])
-			if err != nil || k < 1 || k > maxPhases {
+			n, err := strconv.Atoi(toks[1])
+			if err != nil || n < 1 || n > maxPhases {
 				return nil, errf(lineNo, "invalid phase count %q (want 1..%d)", toks[1], maxPhases)
 			}
-			c = core.NewCircuit(k)
+			k = n
 		case "latch", "ff":
-			if c == nil {
+			if k == 0 {
 				return nil, errf(lineNo, "%s before clock directive", toks[0])
 			}
-			sync, err := parseSync(toks, lineNo, c.K())
+			sync, err := parseSync(toks, lineNo, k)
 			if err != nil {
 				return nil, err
 			}
-			if _, dup := byName[sync.Name]; dup {
+			// One map operation: a name already present does not grow
+			// the map.
+			if byName[sync.Name] = len(syncs); len(byName) == len(syncs) {
 				return nil, errf(lineNo, "duplicate synchronizer %q", sync.Name)
 			}
-			byName[sync.Name] = c.AddSync(sync)
+			syncs = append(syncs, sync)
 		case "path":
-			if c == nil {
+			if k == 0 {
 				return nil, errf(lineNo, "path before clock directive")
 			}
 			p, err := parsePath(toks, lineNo, byName)
 			if err != nil {
 				return nil, err
 			}
-			c.AddPathFull(p)
+			paths = append(paths, p)
 		case "phasename":
-			if c == nil {
+			if k == 0 {
 				return nil, errf(lineNo, "phasename before clock directive")
 			}
 			if len(toks) != 3 {
 				return nil, errf(lineNo, "usage: phasename <i> <name>")
 			}
-			p, err := phaseIndex(toks[1], c.K())
+			p, err := phaseIndex(toks[1], k)
 			if err != nil {
 				return nil, errf(lineNo, "%v", err)
 			}
-			c.SetPhaseName(p, toks[2])
+			phaseNames = append(phaseNames, phaseName{p, strings.Clone(toks[2])})
 		case "meta":
-			if c == nil {
+			if k == 0 {
 				return nil, errf(lineNo, "meta before clock directive")
 			}
 			if len(toks) != 3 {
 				return nil, errf(lineNo, "usage: meta <key> <value>")
 			}
-			if c.Meta == nil {
-				c.Meta = map[string]string{}
+			if meta == nil {
+				meta = map[string]string{}
 			}
-			c.Meta[toks[1]] = toks[2]
+			meta[strings.Clone(toks[1])] = strings.Clone(toks[2])
 		default:
 			return nil, errf(lineNo, "unknown directive %q", toks[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if k == 0 {
+		return nil, errf(sc.no, "no clock directive found")
 	}
-	if c == nil {
-		return nil, errf(lineNo, "no clock directive found")
+	copyNames(syncs, paths)
+	c := core.Build(k, syncs, paths)
+	for _, pn := range phaseNames {
+		c.SetPhaseName(pn.phase, pn.name)
 	}
+	c.Meta = meta
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// CircuitString parses a circuit from a string.
-func CircuitString(s string) (*core.Circuit, error) {
-	return Circuit(strings.NewReader(s))
+// presize estimates the synchronizer and path counts of a circuit file
+// from its line starts: WriteCircuit begins every synchronizer line
+// with "latch " or "ff " and every path line with "path "; another
+// spelling only costs regrowth. The bounds, the shortest valid lines of
+// each kind with their newline, keep a hostile file from reserving
+// more than a valid file of its size would need.
+func presize(s string) (nSync, nPath int) {
+	for i := 0; ; {
+		n := strings.IndexByte(s[i:], '\n')
+		if n < 0 {
+			break
+		}
+		i += n + 1
+		switch line := s[i:]; {
+		case strings.HasPrefix(line, "path "):
+			nPath++
+		case strings.HasPrefix(line, "latch "), strings.HasPrefix(line, "ff "):
+			nSync++
+		}
+	}
+	return min(nSync+1, len(s)/len("ff a phase 1\n")+1), min(nPath+1, len(s)/len("path a -> b delay 1\n")+1)
+}
+
+// phaseName is one phasename directive, applied in file order.
+type phaseName struct {
+	phase int
+	name  string
+}
+
+// copyNames moves every synchronizer name and path label out of the
+// input text into one string of their own.
+func copyNames(syncs []core.Synchronizer, paths []core.Path) {
+	n := 0
+	for i := range syncs {
+		n += len(syncs[i].Name)
+	}
+	for i := range paths {
+		n += len(paths[i].Label)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i := range syncs {
+		b.WriteString(syncs[i].Name)
+	}
+	for i := range paths {
+		b.WriteString(paths[i].Label)
+	}
+	arena := b.String()
+	for i := range syncs {
+		syncs[i].Name, arena = arena[:len(syncs[i].Name)], arena[len(syncs[i].Name):]
+	}
+	for i := range paths {
+		paths[i].Label, arena = arena[:len(paths[i].Label)], arena[len(paths[i].Label):]
+	}
 }
 
 func parseSync(toks []string, line, k int) (core.Synchronizer, error) {
@@ -263,22 +342,31 @@ func parsePath(toks []string, line int, byName map[string]int) (core.Path, error
 	return p, nil
 }
 
-// Schedule parses a clock-schedule description for a k-phase clock.
+// Schedule parses a clock-schedule description for a k-phase clock,
+// read to the end of r.
 func Schedule(r io.Reader, k int) (*core.Schedule, error) {
+	src, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ScheduleString(src, k)
+}
+
+// ScheduleString parses a schedule from a string.
+func ScheduleString(s string, k int) (*core.Schedule, error) {
 	sched := core.NewSchedule(k)
 	seenTc := false
 	seen := make([]bool, k)
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		toks, err := tokenize(sc.Text(), lineNo)
+	sc := scanner{s: s, limit: scheduleLineLimit}
+	for {
+		toks, err := sc.next()
 		if err != nil {
 			return nil, err
 		}
-		if len(toks) == 0 {
-			continue
+		if toks == nil {
+			break
 		}
+		lineNo := sc.no
 		switch strings.ToLower(toks[0]) {
 		case "schedule":
 			if len(toks) != 3 || strings.ToLower(toks[1]) != "tc" {
@@ -310,23 +398,24 @@ func Schedule(r io.Reader, k int) (*core.Schedule, error) {
 			return nil, errf(lineNo, "unknown directive %q", toks[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	if !seenTc {
-		return nil, errf(lineNo, "schedule missing Tc")
+		return nil, errf(sc.no, "schedule missing Tc")
 	}
 	for p, ok := range seen {
 		if !ok {
-			return nil, errf(lineNo, "schedule missing phase %d", p+1)
+			return nil, errf(sc.no, "schedule missing phase %d", p+1)
 		}
 	}
 	return sched, nil
 }
 
-// ScheduleString parses a schedule from a string.
-func ScheduleString(s string, k int) (*core.Schedule, error) {
-	return Schedule(strings.NewReader(s), k)
+// readAll reads r to the end into a string, copying the bytes once.
+func readAll(r io.Reader) (string, error) {
+	var b strings.Builder
+	if _, err := io.Copy(&b, r); err != nil {
+		return "", err
+	}
+	return b.String(), nil
 }
 
 func phaseIndex(tok string, k int) (int, error) {
@@ -345,49 +434,72 @@ func parseFloat(s string) (float64, error) {
 	return f, nil
 }
 
+// scanner yields the tokens of each line of s that has any. It splits
+// lines as bufio.ScanLines does: at each '\n', with one trailing '\r'
+// dropped, and a last line without a newline still counted.
+type scanner struct {
+	s     string
+	pos   int
+	no    int      // 1-based number of the line last scanned
+	limit int      // see circuitLineLimit
+	toks  []string // reused by every line
+}
+
+// next returns the tokens of the next line that has any, or nil at the
+// end of s. The next call reuses the slice.
+func (sc *scanner) next() ([]string, error) {
+	for sc.pos < len(sc.s) {
+		rest := sc.s[sc.pos:]
+		n := strings.IndexByte(rest, '\n')
+		if n < 0 {
+			n = len(rest)
+		}
+		if n >= sc.limit {
+			return nil, bufio.ErrTooLong
+		}
+		sc.pos += min(n+1, len(rest))
+		sc.no++
+		line := rest[:n]
+		if n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+		toks, err := tokenize(sc.toks, line, sc.no)
+		if err != nil {
+			return nil, err
+		}
+		if sc.toks = toks; len(toks) > 0 {
+			return toks, nil
+		}
+	}
+	return nil, nil
+}
+
+// sep marks the bytes that end an unquoted token.
+var sep = [256]bool{' ': true, '\t': true, '\r': true, '#': true}
+
 // tokenize splits a line into tokens, honoring double-quoted strings
-// and '#' comments.
-func tokenize(line string, lineNo int) ([]string, error) {
-	var toks []string
+// and '#' comments. It reuses toks' backing array; the tokens are
+// substrings of line, except a quoted string with escapes, which is
+// the only token that allocates.
+func tokenize(toks []string, line string, lineNo int) ([]string, error) {
+	toks = toks[:0]
 	i := 0
 	for i < len(line) {
-		ch := line[i]
-		switch {
-		case ch == ' ' || ch == '\t' || ch == '\r':
-			i++
+		switch ch := line[i]; {
 		case ch == '#':
 			return toks, nil
+		case sep[ch]:
+			i++
 		case ch == '"':
-			// Quoted string with backslash escapes for '\' and '"'.
-			var sb strings.Builder
-			j := i + 1
-			closed := false
-			for j < len(line) {
-				switch line[j] {
-				case '\\':
-					if j+1 >= len(line) {
-						return nil, errf(lineNo, "dangling escape in string")
-					}
-					sb.WriteByte(line[j+1])
-					j += 2
-				case '"':
-					closed = true
-				default:
-					sb.WriteByte(line[j])
-					j++
-				}
-				if closed {
-					break
-				}
+			tok, n, err := quoted(line[i:], lineNo)
+			if err != nil {
+				return nil, err
 			}
-			if !closed {
-				return nil, errf(lineNo, "unterminated string")
-			}
-			toks = append(toks, sb.String())
-			i = j + 1
+			toks = append(toks, tok)
+			i += n
 		default:
-			j := i
-			for j < len(line) && !strings.ContainsRune(" \t\r#", rune(line[j])) {
+			j := i + 1
+			for j < len(line) && !sep[line[j]] {
 				j++
 			}
 			toks = append(toks, line[i:j])
@@ -397,36 +509,82 @@ func tokenize(line string, lineNo int) ([]string, error) {
 	return toks, nil
 }
 
+// quoted reads the double-quoted string that s starts with, where a
+// backslash escapes the byte after it, and returns the string and the
+// number of bytes it spans.
+func quoted(s string, lineNo int) (string, int, error) {
+	for j := 1; j < len(s); j++ {
+		switch s[j] {
+		case '"':
+			return s[1:j], j + 1, nil
+		case '\\':
+			return unescape(s, j, lineNo)
+		}
+	}
+	return "", 0, errf(lineNo, "unterminated string")
+}
+
+// unescape finishes quoted from s[j], the string's first backslash.
+func unescape(s string, j, lineNo int) (string, int, error) {
+	var sb strings.Builder
+	sb.WriteString(s[1:j])
+	for j < len(s) {
+		switch s[j] {
+		case '\\':
+			if j+1 >= len(s) {
+				return "", 0, errf(lineNo, "dangling escape in string")
+			}
+			sb.WriteByte(s[j+1])
+			j += 2
+		case '"':
+			return sb.String(), j + 1, nil
+		default:
+			sb.WriteByte(s[j])
+			j++
+		}
+	}
+	return "", 0, errf(lineNo, "unterminated string")
+}
+
 // WriteCircuit renders a circuit back into the .smo format, suitable
 // for re-parsing (round-trip property used by the tools and tests).
+// Numbers are written as fmt's %g and %d would write them, without fmt.
 func WriteCircuit(w io.Writer, c *core.Circuit) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "clock %d\n", c.K())
+	b := strconv.AppendInt(append(make([]byte, 0, 128), "clock "...), int64(c.K()), 10)
+	bw.Write(append(b, '\n'))
 	for p := 0; p < c.K(); p++ {
-		if c.PhaseName(p) != fmt.Sprintf("phi%d", p+1) {
-			fmt.Fprintf(bw, "phasename %d %s\n", p+1, quoteIfNeeded(c.PhaseName(p)))
+		if name := c.PhaseName(p); name != "phi"+strconv.Itoa(p+1) {
+			b = strconv.AppendInt(append(b[:0], "phasename "...), int64(p+1), 10)
+			b = append(append(append(b, ' '), quoteIfNeeded(name)...), '\n')
+			bw.Write(b)
 		}
 	}
 	for i, s := range c.Syncs() {
-		kind, dq := "latch", "dq"
+		kind, dq := "latch ", " dq "
 		if s.Kind == core.FlipFlop {
-			kind, dq = "ff", "cq"
+			kind, dq = "ff ", " cq "
 		}
-		fmt.Fprintf(bw, "%s %s phase %d setup %g %s %g", kind, quoteIfNeeded(c.SyncName(i)), s.Phase+1, s.Setup, dq, s.DQ)
+		b = append(append(b[:0], kind...), quoteIfNeeded(c.SyncName(i))...)
+		b = strconv.AppendInt(append(b, " phase "...), int64(s.Phase+1), 10)
+		b = appendG(append(b, " setup "...), s.Setup)
+		b = appendG(append(b, dq...), s.DQ)
 		if s.Hold > 0 {
-			fmt.Fprintf(bw, " hold %g", s.Hold)
+			b = appendG(append(b, " hold "...), s.Hold)
 		}
-		fmt.Fprintln(bw)
+		bw.Write(append(b, '\n'))
 	}
 	for _, p := range c.Paths() {
-		fmt.Fprintf(bw, "path %s -> %s delay %g", quoteIfNeeded(c.SyncName(p.From)), quoteIfNeeded(c.SyncName(p.To)), p.Delay)
+		b = append(append(b[:0], "path "...), quoteIfNeeded(c.SyncName(p.From))...)
+		b = append(append(b, " -> "...), quoteIfNeeded(c.SyncName(p.To))...)
+		b = appendG(append(b, " delay "...), p.Delay)
 		if p.MinDelay != p.Delay {
-			fmt.Fprintf(bw, " min %g", p.MinDelay)
+			b = appendG(append(b, " min "...), p.MinDelay)
 		}
 		if p.Label != "" {
-			fmt.Fprintf(bw, " label %s", quoteIfNeeded(p.Label))
+			b = append(append(b, " label "...), quoteIfNeeded(p.Label)...)
 		}
-		fmt.Fprintln(bw)
+		bw.Write(append(b, '\n'))
 	}
 	metaKeys := make([]string, 0, len(c.Meta))
 	for k := range c.Meta {
@@ -434,7 +592,9 @@ func WriteCircuit(w io.Writer, c *core.Circuit) error {
 	}
 	sort.Strings(metaKeys)
 	for _, k := range metaKeys {
-		fmt.Fprintf(bw, "meta %s %s\n", quoteIfNeeded(k), quoteIfNeeded(c.Meta[k]))
+		b = append(append(b[:0], "meta "...), quoteIfNeeded(k)...)
+		b = append(append(append(b, ' '), quoteIfNeeded(c.Meta[k])...), '\n')
+		bw.Write(b)
 	}
 	return bw.Flush()
 }
@@ -442,12 +602,19 @@ func WriteCircuit(w io.Writer, c *core.Circuit) error {
 // WriteSchedule renders a schedule in the .smo schedule format.
 func WriteSchedule(w io.Writer, sc *core.Schedule) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "schedule tc %g\n", sc.Tc)
+	b := appendG(append(make([]byte, 0, 64), "schedule tc "...), sc.Tc)
+	bw.Write(append(b, '\n'))
 	for p := range sc.S {
-		fmt.Fprintf(bw, "phase %d start %g width %g\n", p+1, sc.S[p], sc.T[p])
+		b = strconv.AppendInt(append(b[:0], "phase "...), int64(p+1), 10)
+		b = appendG(append(b, " start "...), sc.S[p])
+		b = appendG(append(b, " width "...), sc.T[p])
+		bw.Write(append(b, '\n'))
 	}
 	return bw.Flush()
 }
+
+// appendG appends v as fmt's %g verb formats a float64.
+func appendG(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
 
 func quoteIfNeeded(s string) string {
 	if s == "" || strings.ContainsAny(s, " \t\"#\\") {

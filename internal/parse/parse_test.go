@@ -212,7 +212,7 @@ func TestScheduleRoundTrip(t *testing.T) {
 }
 
 func TestTokenizeQuotesAndComments(t *testing.T) {
-	toks, err := tokenize(`meta "a b" c#comment`, 1)
+	toks, err := tokenize(nil, `meta "a b" c#comment`, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,14 +248,14 @@ func TestQuotedNameEscaping(t *testing.T) {
 }
 
 func TestTokenizeEscapes(t *testing.T) {
-	toks, err := tokenize(`meta "a\"b\\c" x`, 1)
+	toks, err := tokenize(nil, `meta "a\"b\\c" x`, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(toks) != 3 || toks[1] != `a"b\c` {
 		t.Errorf("toks = %q", toks)
 	}
-	if _, err := tokenize(`meta "dangling\`, 1); err == nil {
+	if _, err := tokenize(nil, `meta "dangling\`, 1); err == nil {
 		t.Error("dangling escape accepted")
 	}
 }

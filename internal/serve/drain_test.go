@@ -263,7 +263,10 @@ func TestDrainBinaryConnection(t *testing.T) {
 	}
 
 	// The idle connection learns about the drain on its next request:
-	// a typed drain frame, then close.
+	// a typed drain frame, then close. The server may notice the drain
+	// between requests, before the frame arrives, or read the frame
+	// first; either way the client's write must succeed and the drain
+	// frame must arrive.
 	bc.id++
 	if err := serve.EncodeFrame(bc.c, map[string]any{"id": bc.id, "method": "mintc", "body": map[string]any{"digest": opened.Digest}}); err != nil {
 		t.Fatal(err)

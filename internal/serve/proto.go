@@ -148,6 +148,7 @@ func (s *Server) serveBinary(c net.Conn) {
 		select {
 		case <-s.drainCh:
 			_ = s.writeFrame(c, w, binResponse{Error: ErrDraining.Error(), Status: http.StatusServiceUnavailable, Draining: true})
+			lingerClose(c)
 			return
 		default:
 		}
@@ -162,6 +163,28 @@ func (s *Server) serveBinary(c net.Conn) {
 	}
 }
 
+// drainLinger bounds how long a connection closed by drain keeps
+// reading what the client still sends.
+const drainLinger = time.Second
+
+// lingerClose ends a connection the server gives up while the client
+// may be mid-request: it half-closes the write side, so the client reads
+// the final frame and then EOF, and discards what arrives for up to
+// drainLinger before the caller closes. Closing with unread input would
+// make the kernel answer the client's next write with a reset, failing
+// that write with a broken pipe and possibly dropping the final frame.
+func lingerClose(c net.Conn) {
+	if sc, ok := c.(*sniffConn); ok {
+		c = sc.Conn
+	}
+	cw, ok := c.(interface{ CloseWrite() error })
+	if !ok || cw.CloseWrite() != nil {
+		return
+	}
+	_ = c.SetReadDeadline(time.Now().Add(drainLinger))
+	_, _ = io.Copy(io.Discard, c)
+}
+
 // serveBinRequest runs one frame through the same robustness pipeline
 // as an HTTP request; false means the connection is unusable.
 func (s *Server) serveBinRequest(c net.Conn, w *bufio.Writer, req binRequest) (alive bool) {
@@ -169,6 +192,7 @@ func (s *Server) serveBinRequest(c net.Conn, w *bufio.Writer, req binRequest) (a
 	if !s.beginRequest() {
 		s.counters.drainRejects.Add(1)
 		_ = s.writeFrame(c, w, binResponse{ID: req.ID, Error: ErrDraining.Error(), Status: http.StatusServiceUnavailable, Draining: true})
+		lingerClose(c)
 		return false
 	}
 	defer s.endRequest()
