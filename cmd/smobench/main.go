@@ -31,7 +31,6 @@ import (
 	"runtime/pprof"
 
 	"mintc/internal/experiments"
-	"mintc/internal/lp"
 )
 
 func main() {
@@ -56,18 +55,11 @@ func main() {
 		xxl     = flag.Bool("xxl", false, "include the 100k-synchronizer workloads in -bench and run even the known-slow (engine, circuit) pairs")
 		compare = flag.Bool("compare", false, "compare two benchmark record sets: smobench -compare old new (directories of BENCH_*.json, or single records)")
 		sweepB  = flag.String("sweepbench", "", "write delay-sweep records (SWEEP_*.json: the library sweep vs one cold MCR solve per value) into this directory")
-		lpName  = flag.String("lp", "", "LP solver for every solve: revised (default) or dense")
 		profile = flag.String("profile", "", "write a CPU profile of the whole run to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	)
 	flag.Parse()
 
-	if *lpName != "" {
-		if err := lp.SetDefaultSolver(*lpName); err != nil {
-			fmt.Fprintf(os.Stderr, "smobench: %v\n", err)
-			os.Exit(2)
-		}
-	}
 	if *profile != "" {
 		f, err := os.Create(*profile)
 		if err != nil {

@@ -384,19 +384,24 @@ func TestRunTraceFlag(t *testing.T) {
 	}
 }
 
+// TestRunCertifyFlag: Example 1 certifies optimal under both the LP
+// engine (with its duality gap) and the decomposed engine (through the
+// binding component's critical cycle).
 func TestRunCertifyFlag(t *testing.T) {
 	f := writeTemp(t, "ex1.smo", example1SMO)
-	out, err := capture(t, func() error {
-		return run(f, cfg(func(c *config) { c.certify = true }))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "certificate: certified optimal") {
-		t.Errorf("missing certificate verdict:\n%s", out)
-	}
-	if !strings.Contains(out, "duality gap:") {
-		t.Errorf("missing duality gap:\n%s", out)
+	for _, engine := range []string{"lp", "decomp"} {
+		out, err := capture(t, func() error {
+			return run(f, cfg(func(c *config) { c.certify = true; c.engine = engine }))
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if !strings.Contains(out, "certificate: certified optimal") {
+			t.Errorf("%s: missing certificate verdict:\n%s", engine, out)
+		}
+		if engine == "lp" && !strings.Contains(out, "duality gap:") {
+			t.Errorf("%s: missing duality gap:\n%s", engine, out)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ var allowed = map[string][]string{
 	"core":        {"graph", "lp", "obs"},
 	"verify":      {"core", "lp"},
 	"mcr":         {"core", "graph", "obs"},
-	"decomp":      {"core", "lp", "mcr", "obs"},
+	"decomp":      {"core", "mcr", "obs"},
 	"ettf":        {"core", "lp", "obs"},
 	"nrip":        {"core", "ettf", "obs"},
 	"agrawal":     {"core"},

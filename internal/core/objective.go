@@ -53,9 +53,9 @@ func (k ObjectiveKind) String() string {
 }
 
 // Objective is a first-class optimization goal threaded through
-// constraint generation (BuildLP / BuildLPComponent), the solvers, the
-// certificate checker and the session cache. The zero value is plain
-// cycle-time minimization and reproduces the legacy LP bit for bit.
+// constraint generation (BuildLP), the solvers, the certificate
+// checker and the session cache. The zero value is plain cycle-time
+// minimization and reproduces the legacy LP bit for bit.
 //
 // Schedule objectives (every kind except ObjMinTc) require FixedTc > 0:
 // they optimize over the family of feasible schedules at that cycle

@@ -29,7 +29,6 @@ type Partition struct {
 	dag      [][]int32 // condensation adjacency (distinct successors, ascending)
 	cyclic   []bool    // component contains at least one intra-component path
 	cross    []int32   // indices of cross-component paths, ascending
-	paths    [][]int32 // intra-component path indices per component, ascending
 }
 
 // newPartition condenses the latch graph of c.
@@ -64,13 +63,11 @@ func newPartition(c *Circuit) *Partition {
 		pt.dag[ci] = ds
 	}
 	pt.pathComp = make([]int32, len(c.Paths()))
-	pt.paths = make([][]int32, len(components))
 	for pidx, p := range c.Paths() {
 		if comp[p.From] == comp[p.To] {
 			ci := comp[p.From]
 			pt.pathComp[pidx] = int32(ci)
 			pt.cyclic[ci] = true
-			pt.paths[ci] = append(pt.paths[ci], int32(pidx))
 		} else {
 			pt.pathComp[pidx] = -1
 			pt.cross = append(pt.cross, int32(pidx))
@@ -78,10 +75,6 @@ func newPartition(c *Circuit) *Partition {
 	}
 	return pt
 }
-
-// CompPaths returns the intra-component path indices of component ci,
-// ascending. Shared; read-only.
-func (pt *Partition) CompPaths(ci int) []int32 { return pt.paths[ci] }
 
 // NumComponents returns the number of strongly connected components of
 // the latch graph.

@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 
 	"mintc/internal/core"
-	"mintc/internal/lp"
 	"mintc/internal/mcr"
 	"mintc/internal/obs"
 )
@@ -47,36 +46,13 @@ import (
 type Config struct {
 	// Workers bounds the component-solving pool (0 = GOMAXPROCS).
 	Workers int
-	// LPCutoff is the component size (member count) up to which the
-	// subproblem is solved by the sparse simplex on the component LP
-	// (warm-started from the component's cached base basis); larger
-	// components use the subsystem min-cycle-ratio solver, whose
-	// witness cycles double as optimality certificates. 0 selects the
-	// default; negative disables the LP backend entirely.
-	LPCutoff int
 }
-
-// DefaultLPCutoff is the default component-size ceiling for the LP
-// backend. Small components produce small LPs where a warm dual
-// simplex re-solve beats graph assembly; past a few dozen members the
-// probe-based solver wins and also yields witness cycles.
-const DefaultLPCutoff = 48
 
 func (cfg Config) workers() int {
 	if cfg.Workers > 0 {
 		return cfg.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (cfg Config) lpCutoff() int {
-	switch {
-	case cfg.LPCutoff > 0:
-		return cfg.LPCutoff
-	case cfg.LPCutoff < 0:
-		return 0
-	}
-	return DefaultLPCutoff
 }
 
 // Result is the outcome of a decomposed solve. Tc, Schedule and D
@@ -232,8 +208,8 @@ func Solve(ctx context.Context, ov core.DelayOverlay, opts core.Options, cfg Con
 // constraint graph and its CSR scratch are compiled once per State and
 // reconciled against each overlay's edit set in O(edits), and every
 // pass warm-starts from the base overlay's converged potentials — the
-// full-graph analogue of the component caches' base-basis rule. Seeds
-// only ever come from that base fixpoint (a pure function of the
+// full-graph analogue of the component caches' base-potential rule.
+// Seeds only ever come from that base fixpoint (a pure function of the
 // snapshot and options), never from whatever an arbitrary earlier
 // overlay left behind, so a solve's outcome does not depend on which
 // overlays the State served before it.
@@ -339,7 +315,7 @@ func solveAllComponents(ctx context.Context, ov core.DelayOverlay, opts core.Opt
 					errs[ci] = ctx.Err()
 					continue
 				}
-				ans, ran, err := solveComponent(ctx, ov, opts, cfg, st, ci)
+				ans, ran, err := solveComponent(ctx, ov, opts, st, ci)
 				if err != nil {
 					errs[ci] = err
 					continue
@@ -369,10 +345,10 @@ func solveAllComponents(ctx context.Context, ov core.DelayOverlay, opts core.Opt
 
 // solveComponent answers one component subproblem: closed form for
 // trivial singletons, the cached answer when the component's delay
-// digest is known, otherwise an actual subsystem solve (LP for small
-// components, min-cycle-ratio for large ones). ran reports whether a
+// digest is known, otherwise a subsystem min-cycle-ratio solve whose
+// critical cycle is the component's witness. ran reports whether a
 // solve actually executed (the Resolved metric).
-func solveComponent(ctx context.Context, ov core.DelayOverlay, opts core.Options, cfg Config, st *State, ci int) (ans compAnswer, ran bool, err error) {
+func solveComponent(ctx context.Context, ov core.DelayOverlay, opts core.Options, st *State, ci int) (ans compAnswer, ran bool, err error) {
 	cc := ov.Base()
 	c := cc.Circuit()
 	pt := cc.Partition()
@@ -398,22 +374,6 @@ func solveComponent(ctx context.Context, ov core.DelayOverlay, opts core.Options
 	// sit below the pin), enforced by the global coupling phase.
 	compOpts := opts
 	compOpts.FixedTc = 0
-	cut := cfg.lpCutoff()
-	if n := len(pt.Members(ci)); n <= cut {
-		ans, err = solveComponentLP(ctx, ov, compOpts, st, ci, dig)
-		if err == nil {
-			if st != nil {
-				st.store(dig, ans)
-			}
-			return ans, true, nil
-		}
-		if ctx.Err() != nil {
-			return ans, true, err
-		}
-		// A degenerate LP outcome (infeasible, unbounded, lost basis)
-		// falls through to the probe solver, which produces a typed
-		// witness-cycle error that is valid for the full system.
-	}
 	s, err := mcr.NewComponentSolver(ov, compOpts, pt.Members(ci))
 	if err != nil {
 		return ans, true, err
@@ -422,9 +382,8 @@ func solveComponent(ctx context.Context, ov core.DelayOverlay, opts core.Options
 	var mres *mcr.Result
 	if st != nil && dig != baseDig {
 		// Edited re-solve: warm-start from the component's BASE
-		// potentials, mirroring the LP path's base-basis rule (and
-		// computing them on demand the same way) so the answer for a
-		// digest stays a pure function of (snapshot, digest, options),
+		// potentials (computed on demand) so the answer for a digest
+		// stays a pure function of (snapshot, digest, options),
 		// whatever overlays the State served before.
 		pot := st.potentials(ci)
 		if pot == nil {
@@ -456,59 +415,6 @@ func solveComponent(ctx context.Context, ov core.DelayOverlay, opts core.Options
 		st.store(dig, ans)
 	}
 	return ans, true, nil
-}
-
-// solveComponentLP answers a small component through the sparse
-// simplex. For determinism under concurrent cache sharing the warm
-// start is always the component's BASE basis — the optimal basis of
-// the component LP over the snapshot's own delays — never whichever
-// basis some other overlay left behind: the answer for a digest is
-// then a pure function of (snapshot, digest, options), independent of
-// solve order, which is what lets State memoize it. The base basis is
-// computed (and cached) on first need; RHS-only edits keep it dual
-// feasible, so the warm re-solve is typically a handful of pivots.
-func solveComponentLP(ctx context.Context, ov core.DelayOverlay, opts core.Options, st *State, ci int, dig uint64) (compAnswer, error) {
-	cc := ov.Base()
-	baseDig := cc.Overlay().ComponentDigest(ci)
-	var warm *lp.Basis
-	if st != nil && dig != baseDig {
-		warm = st.basis(ci)
-		if warm == nil {
-			baseAns, b, err := solveCompLPCold(ctx, cc.Overlay(), opts, ci)
-			if err != nil {
-				return compAnswer{}, err
-			}
-			st.storeBasis(ci, b)
-			st.store(baseDig, baseAns)
-			warm = b
-		}
-	}
-	prob, vm, _ := core.BuildLPComponent(cc, ov, opts, ci)
-	sol, err := lp.SolveCtxFrom(ctx, prob, warm)
-	if err != nil {
-		return compAnswer{}, err
-	}
-	if sol.Status != lp.Optimal {
-		return compAnswer{}, fmt.Errorf("decomp: component %d LP status %v", ci, sol.Status)
-	}
-	if st != nil && dig == baseDig {
-		st.storeBasis(ci, sol.Basis())
-	}
-	return compAnswer{tc: sol.X[vm.Tc], ratio: sol.X[vm.Tc]}, nil
-}
-
-// solveCompLPCold solves a component LP over the snapshot's own delays
-// from scratch, returning the answer and the optimal basis.
-func solveCompLPCold(ctx context.Context, base core.DelayOverlay, opts core.Options, ci int) (compAnswer, *lp.Basis, error) {
-	prob, vm, _ := core.BuildLPComponent(base.Base(), base, opts, ci)
-	sol, err := lp.SolveCtx(ctx, prob)
-	if err != nil {
-		return compAnswer{}, nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return compAnswer{}, nil, fmt.Errorf("decomp: component %d base LP status %v", ci, sol.Status)
-	}
-	return compAnswer{tc: sol.X[vm.Tc], ratio: sol.X[vm.Tc]}, sol.Basis(), nil
 }
 
 // trivialWitness synthesizes the setup-loop witness of a closed-form

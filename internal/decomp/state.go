@@ -3,7 +3,6 @@ package decomp
 import (
 	"sync"
 
-	"mintc/internal/lp"
 	"mintc/internal/mcr"
 )
 
@@ -16,19 +15,15 @@ import (
 //     component's subsystem reads, so overlays that edit other
 //     components hit the same entries — that is the incremental
 //     re-solve: only dirty components miss.
-//   - base simplex bases, keyed by component: the optimal basis of
-//     the component LP over the snapshot's own delays, the fixed warm
-//     start every edited re-solve of that component uses.
 //   - base probe potentials, keyed by component (plus one full-graph
 //     set for the coupling pass): the node potentials of a probe solve
-//     over the snapshot's own delays — the SPFA analogue of the warm
-//     basis. Edited re-solves seed them (mcr.Solver.SeedPotentials)
-//     so the warm probe relaxes only the residual the edit perturbed.
+//     over the snapshot's own delays. Every edited re-solve seeds them
+//     (mcr.Solver.SeedPotentials) so the warm probe relaxes only the
+//     residual the edit perturbed.
 //
 // Because each stored value is a pure function of (snapshot, options,
-// digest) — LP re-solves always warm from the base basis, probe
-// re-solves always warm from the base potentials (computed on demand,
-// like the basis), never from whatever potentials an arbitrary earlier
+// digest) — re-solves always warm from the base potentials (computed
+// on demand), never from whatever potentials an arbitrary earlier
 // overlay left behind — concurrent solves racing on the same key
 // compute identical values, so the cache never makes results depend
 // on solve order. The session layer relies on this for its
@@ -40,7 +35,6 @@ import (
 type State struct {
 	mu      sync.Mutex
 	comps   map[uint64]compAnswer
-	bases   map[int]*lp.Basis
 	compPot map[int][]float64
 
 	// The persistent coupling-pass solver: the full constraint graph is
@@ -62,7 +56,6 @@ type State struct {
 func NewState() *State {
 	return &State{
 		comps:   make(map[uint64]compAnswer),
-		bases:   make(map[int]*lp.Basis),
 		compPot: make(map[int][]float64),
 	}
 }
@@ -90,23 +83,6 @@ func (st *State) store(dig uint64, ans compAnswer) {
 	defer st.mu.Unlock()
 	if _, ok := st.comps[dig]; !ok {
 		st.comps[dig] = ans
-	}
-}
-
-func (st *State) basis(ci int) *lp.Basis {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.bases[ci]
-}
-
-func (st *State) storeBasis(ci int, b *lp.Basis) {
-	if b == nil {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.bases[ci]; !ok {
-		st.bases[ci] = b
 	}
 }
 

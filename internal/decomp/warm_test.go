@@ -108,9 +108,7 @@ func TestSolveTwoComponentEdit(t *testing.T) {
 // answer.
 func TestWarmPotentialReuse(t *testing.T) {
 	cc, _ := banksWithCross(t)
-	// Force the probe backend on every component so the component-level
-	// potential reuse engages alongside the coupling pass's.
-	cfg := Config{LPCutoff: -1}
+	cfg := Config{}
 	opts := core.Options{}
 	base := cc.Overlay()
 	edited := base.With(4, 200)

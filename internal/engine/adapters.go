@@ -70,7 +70,7 @@ func (mlpSolver) SolveOverlay(ctx context.Context, ov core.DelayOverlay, opts Op
 }
 
 // decompSolver is the SCC-decomposed solver as an explicit engine:
-// per-component subproblems (closed-form, LP or min-cycle-ratio) in
+// per-component subproblems (closed-form or min-cycle-ratio) in
 // parallel, then one global coupling pass that certifies or repairs
 // the combined bound — the incremental/100k-scale path.
 type decompSolver struct{}

@@ -52,10 +52,10 @@ func TestCertifiedSuiteAllEngines(t *testing.T) {
 
 // TestCertifiedOptimalityEvidence pins that the exact engines carry
 // their optimality evidence into the certificate: mlp the LP duality
-// gap, mcr the re-walked critical cycle.
+// gap, mcr and decomp the re-walked critical cycle.
 func TestCertifiedOptimalityEvidence(t *testing.T) {
 	c := circuits.Example1(80)
-	for _, name := range []string{"mlp", "mcr"} {
+	for _, name := range []string{"mlp", "mcr", "decomp"} {
 		res, err := engine.SolveCertified(context.Background(), name, c, engine.Options{}, engine.Policy{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,16 +21,7 @@ func TestSuiteSparseMatchesDense(t *testing.T) {
 		bm := bm
 		t.Run(bm.Name, func(t *testing.T) {
 			sparse, serr := core.MinTc(bm.Circuit, core.Options{})
-
-			if err := lp.SetDefaultSolver("dense"); err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				if err := lp.SetDefaultSolver("revised"); err != nil {
-					t.Fatal(err)
-				}
-			}()
-			dense, derr := core.MinTc(bm.Circuit, core.Options{})
+			dense, derr := core.MinTcCtx(lp.WithSolver(context.Background(), "dense"), bm.Circuit, core.Options{})
 
 			if (serr == nil) != (derr == nil) {
 				t.Fatalf("status disagreement: sparse err=%v dense err=%v", serr, derr)

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"mintc/internal/faultinject"
@@ -314,39 +313,15 @@ var (
 	ErrSingularBasis = errors.New("lp: singular basis")
 )
 
-// useDense routes Solve/SolveCtx (and SolveCtxFrom) to the dense
-// oracle instead of the revised simplex. Off by default; flipped by
-// SetDefaultSolver for baseline benchmark sweeps and differential
-// debugging.
-var useDense atomic.Bool
-
-// SetDefaultSolver selects the solver behind Solve/SolveCtx:
-// "revised" (the default sparse revised simplex) or "dense" (the
-// two-phase tableau oracle). It affects the whole process and is meant
-// for benchmark harnesses and debugging, not for concurrent toggling
-// mid-solve.
-func SetDefaultSolver(name string) error {
-	switch name {
-	case "", "revised":
-		useDense.Store(false)
-	case "dense":
-		useDense.Store(true)
-	default:
-		return fmt.Errorf("lp: unknown solver %q (have \"revised\", \"dense\")", name)
-	}
-	return nil
-}
-
 // solverKey carries a per-solve solver override in a context.
 type solverKey struct{}
 
 // WithSolver returns a context that forces SolveCtx/SolveCtxFrom under
-// it to use the named solver ("revised" or "dense"), overriding the
-// process-global SetDefaultSolver knob for that solve only. The engine
-// supervisor uses it to pin individual degradation-ladder rungs to a
-// specific solver without racing concurrent solves on the global
-// atomic. Unknown names are ignored (the context passes through
-// unchanged), keeping the call total for plumbing code.
+// it to use the named solver ("revised" or "dense") instead of the
+// default sparse revised simplex. The engine supervisor uses it to pin
+// individual degradation-ladder rungs to a specific solver. Unknown
+// names are ignored (the context passes through unchanged), keeping
+// the call total for plumbing code.
 func WithSolver(ctx context.Context, name string) context.Context {
 	switch name {
 	case "revised", "dense":
@@ -355,13 +330,11 @@ func WithSolver(ctx context.Context, name string) context.Context {
 	return ctx
 }
 
-// wantDense resolves the solver choice for one solve: a WithSolver
-// override wins, otherwise the process-global knob decides.
+// wantDense reports whether a WithSolver override selects the dense
+// oracle for this solve.
 func wantDense(ctx context.Context) bool {
-	if name, ok := ctx.Value(solverKey{}).(string); ok {
-		return name == "dense"
-	}
-	return useDense.Load()
+	name, _ := ctx.Value(solverKey{}).(string)
+	return name == "dense"
 }
 
 const (
@@ -410,9 +383,8 @@ func Solve(p *Problem) (*Solution, error) {
 // count reached so far (for progress accounting); the partial solution
 // has no variable values.
 //
-// The default solver is the sparse revised simplex; SetDefaultSolver
-// reroutes it (smobench's dense-baseline sweeps), and SolveDenseCtx
-// always runs the dense oracle.
+// The default solver is the sparse revised simplex; WithSolver
+// reroutes one solve, and SolveDenseCtx always runs the dense oracle.
 func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 	if wantDense(ctx) {
 		return SolveDenseCtx(ctx, p)

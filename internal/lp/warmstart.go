@@ -41,8 +41,8 @@ func (s *Solution) Basis() *Basis {
 // last saw without shape bookkeeping.
 func SolveCtxFrom(ctx context.Context, p *Problem, b *Basis) (*Solution, error) {
 	if wantDense(ctx) {
-		// The dense oracle has no warm path; keeping the knob authoritative
-		// makes dense-baseline benchmark sweeps measure true cold re-solves.
+		// The dense oracle has no warm path: a dense override always
+		// runs a cold solve.
 		return SolveDenseCtx(ctx, p)
 	}
 	if sol, done := solveTrivial(p); done {

@@ -689,8 +689,8 @@ type (
 	// (component count, how many were actually re-solved, closed-form
 	// fast paths, per-component bounds).
 	DecompResult = decomp.Result
-	// DecompConfig tunes the decomposed solver (worker-pool bound, LP
-	// backend cutoff). The zero value is the production default.
+	// DecompConfig tunes the decomposed solver (worker-pool bound). The
+	// zero value is the production default.
 	DecompConfig = decomp.Config
 	// DecompState is the reusable per-component answer cache. One state
 	// serves one (snapshot, options) pair; see NewDecompState.
