@@ -8,6 +8,7 @@
 package mintc_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -343,10 +344,11 @@ func BenchmarkSimulationGaAs(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ov := c.MustFreeze().Overlay()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(c, r.Schedule, sim.Config{}); err != nil {
+		if _, err := sim.Run(context.Background(), ov, r.Schedule, sim.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

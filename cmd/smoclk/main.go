@@ -315,9 +315,9 @@ func runEngine(c *mintc.Circuit, cfg config) (*mintc.EngineResult, error) {
 	}
 	var res *mintc.EngineResult
 	if cfg.certify {
-		res, err = mintc.SolveEngineCertifiedOverlay(ctx, name, cc.Overlay(), eopts, mintc.CertifyPolicy{})
+		res, err = mintc.SolveEngineCertified(ctx, name, cc.Overlay(), eopts, mintc.CertifyPolicy{})
 	} else {
-		res, err = mintc.SolveEngineOverlay(ctx, name, cc.Overlay(), eopts)
+		res, err = mintc.SolveEngine(ctx, name, cc.Overlay(), eopts)
 	}
 	if err != nil {
 		if res != nil && cfg.certify {

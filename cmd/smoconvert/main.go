@@ -193,7 +193,7 @@ func certifiedSolve(c *mintc.Circuit, opts mintc.Options) (*mintc.EngineResult, 
 		return nil, err
 	}
 	eopts := mintc.EngineOptions{Core: opts, Seed: 1}
-	return mintc.SolveEngineCertifiedOverlay(context.Background(), "mlp", cc.Overlay(), eopts, mintc.CertifyPolicy{})
+	return mintc.SolveEngineCertified(context.Background(), "mlp", cc.Overlay(), eopts, mintc.CertifyPolicy{})
 }
 
 // verdict summarizes a certificate for the one-line reports.

@@ -36,11 +36,19 @@ func main() {
 	fmt.Println("\nFractional duals mean the delay is shared across clock cycles")
 	fmt.Println("(borrowing); several disjoint segments are critical at once.")
 
-	// Pick the most critical path and sweep it parametrically.
-	if len(segs) == 0 {
-		log.Fatal("no critical segments")
+	// Pick the most critical combinational block and sweep it
+	// parametrically. Latch rows (L1-L3) bind no path (Row.Path < 0),
+	// so skip to the first segment that names one.
+	path := -1
+	for _, s := range segs {
+		if s.Row.Path >= 0 {
+			path = s.Row.Path
+			break
+		}
 	}
-	path := segs[0].Row.Path
+	if path < 0 {
+		log.Fatal("no critical path segment")
+	}
 	p := c.Paths()[path]
 	fmt.Printf("\nparametric sweep of %s -> %s (current delay %g):\n",
 		c.SyncName(p.From), c.SyncName(p.To), p.Delay)

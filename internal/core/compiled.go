@@ -13,9 +13,10 @@ import (
 //
 // Freeze validates once and caches every derived artifact the solvers
 // would otherwise recompute per call — the phase-ordering matrix C, the
-// I/O phase-pair matrix K, the maximum fanin F, the simulation phase
-// order, and the compiled Kernel (the CSR fanin arc array with
-// pre-folded weights) per distinct margin set. After Freeze nothing
+// I/O phase-pair matrix K, the maximum fanin F and the simulation phase
+// order at Freeze; the SCC partition and the compiled Kernel (the CSR
+// fanin arc array with pre-folded weights, one per distinct margin
+// set) on first use. After Freeze nothing
 // reachable from the Compiled is ever mutated again, so any number of
 // goroutines may run MinTcOverlay, CheckTcOverlay, simulations and
 // engine solves against one shared snapshot with no cloning and no
@@ -38,7 +39,11 @@ type Compiled struct {
 	kmat       [][]int
 	maxFanin   int
 	phaseOrder []int
-	part       *Partition
+
+	// part is the latch-graph SCC partition, computed on first use by
+	// Partition: only the decomposed solver reads it.
+	partOnce sync.Once
+	part     *Partition
 
 	// kernels caches one frozen Kernel per distinct margin set
 	// (Skew/PhaseSkew are folded into the arc weights; no other option
@@ -70,7 +75,6 @@ func (c *Circuit) Freeze() (*Compiled, error) {
 	cc.cmat = cc.c.CMatrix()
 	cc.kmat = cc.c.KMatrix()
 	cc.phaseOrder = phaseOrder(cc.c)
-	cc.part = newPartition(cc.c)
 	return cc, nil
 }
 

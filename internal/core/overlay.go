@@ -204,9 +204,10 @@ func (o DelayOverlay) Kernel(opts Options) *Kernel {
 // Materialize returns a circuit carrying the overlay's effective
 // delays. With no edits it is the snapshot's shared read-only circuit
 // view (zero-copy); with edits it is a fresh private clone. This is
-// the compatibility bridge for analyses that want a plain *Circuit
-// (the LP-free engines take it); overlay-native entry points
-// (MinTcOverlay, CheckTcOverlay, the simulators) never materialize.
+// the bridge for analyses that want a plain *Circuit (the mcr, nrip
+// and ettf engines and the certified supervisor's checker take it);
+// overlay-native entry points (MinTcOverlay, CheckTcOverlay, the
+// simulators) never materialize.
 func (o DelayOverlay) Materialize() *Circuit {
 	if len(o.edits) == 0 {
 		return o.base.c

@@ -114,8 +114,11 @@ func (pt *Partition) Trivial(ci int) bool {
 func (pt *Partition) Successors(ci int) []int32 { return pt.dag[ci] }
 
 // Partition returns the snapshot's latch-graph SCC decomposition,
-// computed at Freeze. Shared; read-only.
-func (cc *Compiled) Partition() *Partition { return cc.part }
+// computed on the first call (from any goroutine). Shared; read-only.
+func (cc *Compiled) Partition() *Partition {
+	cc.partOnce.Do(func() { cc.part = newPartition(cc.c) })
+	return cc.part
+}
 
 // TrivialComponentBound is the closed-form subsystem bound of a
 // trivial component (Partition.Trivial): with no intra-component arc,
@@ -157,7 +160,7 @@ func (o DelayOverlay) DirtyComponents() (comps []int, cross bool) {
 	if len(o.edits) == 0 {
 		return nil, false
 	}
-	pt := o.base.part
+	pt := o.base.Partition()
 	seen := make(map[int]struct{}, len(o.edits))
 	for pidx := range o.edits {
 		ci := int(pt.pathComp[pidx])
@@ -205,7 +208,7 @@ func (o DelayOverlay) ComponentDigest(ci int) uint64 {
 	if len(o.edits) == 0 {
 		return h
 	}
-	pt := o.base.part
+	pt := o.base.Partition()
 	var buf [16]int32
 	idx := buf[:0]
 	for pidx := range o.edits {

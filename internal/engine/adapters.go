@@ -40,25 +40,10 @@ type mlpSolver struct{}
 
 func (mlpSolver) Name() string { return "mlp" }
 
-func (mlpSolver) Solve(ctx context.Context, c *core.Circuit, opts Options) (*Result, error) {
+func (mlpSolver) Solve(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error) {
 	// Schedule objectives (max-margin, min-phase-width, skew-budget)
 	// always run the monolithic LP: the decomposed solver's
 	// lower-bound/coupling argument only applies to min-Tc.
-	if c.L() >= DecompThreshold && opts.Core.Objective.IsMinTc() {
-		cc, err := c.Freeze()
-		if err != nil {
-			return nil, err
-		}
-		return decompSolve(ctx, cc.Overlay(), opts)
-	}
-	r, err := core.MinTcCtx(ctx, c, opts.Core)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Tc: r.Schedule.Tc, Schedule: r.Schedule, D: r.D, Detail: r}, nil
-}
-
-func (mlpSolver) SolveOverlay(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error) {
 	if ov.Base().L() >= DecompThreshold && opts.Core.Objective.IsMinTc() {
 		return decompSolve(ctx, ov, opts)
 	}
@@ -77,15 +62,7 @@ type decompSolver struct{}
 
 func (decompSolver) Name() string { return "decomp" }
 
-func (decompSolver) Solve(ctx context.Context, c *core.Circuit, opts Options) (*Result, error) {
-	cc, err := c.Freeze()
-	if err != nil {
-		return nil, err
-	}
-	return decompSolve(ctx, cc.Overlay(), opts)
-}
-
-func (decompSolver) SolveOverlay(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error) {
+func (decompSolver) Solve(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error) {
 	return decompSolve(ctx, ov, opts)
 }
 
@@ -98,13 +75,16 @@ func decompSolve(ctx context.Context, ov core.DelayOverlay, opts Options) (*Resu
 }
 
 // mcrSolver runs the min-cycle-ratio formulation — the same optimum by
-// Bellman–Ford witness jumping instead of simplex.
+// Bellman–Ford witness jumping instead of simplex. It, nrip and ettf
+// solve the overlay's materialized circuit: the snapshot's shared
+// read-only view when the overlay has no edits, a private clone
+// otherwise.
 type mcrSolver struct{}
 
 func (mcrSolver) Name() string { return "mcr" }
 
-func (mcrSolver) Solve(ctx context.Context, c *core.Circuit, opts Options) (*Result, error) {
-	r, err := mcr.SolveCtx(ctx, c, opts.Core)
+func (mcrSolver) Solve(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error) {
+	r, err := mcr.SolveCtx(ctx, ov.Materialize(), opts.Core)
 	if err != nil {
 		return nil, err
 	}
@@ -117,8 +97,8 @@ type nripSolver struct{}
 
 func (nripSolver) Name() string { return "nrip" }
 
-func (nripSolver) Solve(ctx context.Context, c *core.Circuit, opts Options) (*Result, error) {
-	r, err := nrip.MinTcCtx(ctx, c, opts.Core)
+func (nripSolver) Solve(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error) {
+	r, err := nrip.MinTcCtx(ctx, ov.Materialize(), opts.Core)
 	if err != nil {
 		return nil, err
 	}
@@ -131,8 +111,8 @@ type ettfSolver struct{}
 
 func (ettfSolver) Name() string { return "ettf" }
 
-func (ettfSolver) Solve(ctx context.Context, c *core.Circuit, opts Options) (*Result, error) {
-	r, err := ettf.MinTcCtx(ctx, c, opts.Core)
+func (ettfSolver) Solve(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error) {
+	r, err := ettf.MinTcCtx(ctx, ov.Materialize(), opts.Core)
 	if err != nil {
 		return nil, err
 	}
@@ -153,48 +133,14 @@ type simSolver struct{}
 
 func (simSolver) Name() string { return "sim" }
 
-func (simSolver) Solve(ctx context.Context, c *core.Circuit, opts Options) (*Result, error) {
-	return simSolve(ctx,
-		func(ctx context.Context) (*core.Result, error) { return core.MinTcCtx(ctx, c, opts.Core) },
-		func(ctx context.Context, sched *core.Schedule) (*sim.Trace, error) {
-			return sim.RunCtx(ctx, c, sched, sim.Config{Cycles: opts.SimCycles})
-		},
-		func(ctx context.Context, sched *core.Schedule, rng *rand.Rand) (*sim.MCResult, error) {
-			return sim.RunMonteCarloCtx(ctx, c, sched,
-				sim.MCConfig{Cycles: opts.SimCycles, Trials: opts.Trials, Workers: opts.Workers}, rng)
-		},
-		opts)
-}
-
-func (simSolver) SolveOverlay(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error) {
-	return simSolve(ctx,
-		func(ctx context.Context) (*core.Result, error) { return core.MinTcOverlayCtx(ctx, ov, opts.Core) },
-		func(ctx context.Context, sched *core.Schedule) (*sim.Trace, error) {
-			return sim.RunOverlayCtx(ctx, ov, sched, sim.Config{Cycles: opts.SimCycles})
-		},
-		func(ctx context.Context, sched *core.Schedule, rng *rand.Rand) (*sim.MCResult, error) {
-			return sim.RunMonteCarloOverlayCtx(ctx, ov, sched,
-				sim.MCConfig{Cycles: opts.SimCycles, Trials: opts.Trials, Workers: opts.Workers}, rng)
-		},
-		opts)
-}
-
-// simSolve is the sim engine's shared driver: resolve a schedule (the
-// one in opts, or the MLP optimum), run the deterministic wavefront,
-// then the optional Monte-Carlo campaign. The three closures bind it
-// to either a plain circuit or a snapshot overlay.
-func simSolve(ctx context.Context,
-	minTc func(context.Context) (*core.Result, error),
-	run func(context.Context, *core.Schedule) (*sim.Trace, error),
-	monteCarlo func(context.Context, *core.Schedule, *rand.Rand) (*sim.MCResult, error),
-	opts Options) (*Result, error) {
+func (simSolver) Solve(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error) {
 	rec := obs.From(ctx)
 	sched := opts.Schedule
 	if sched == nil {
 		var mlp *core.Result
 		err := rec.Phase(ctx, "schedule", func(ctx context.Context) error {
 			var serr error
-			mlp, serr = minTc(ctx)
+			mlp, serr = core.MinTcOverlayCtx(ctx, ov, opts.Core)
 			return serr
 		})
 		if err != nil {
@@ -205,7 +151,7 @@ func simSolve(ctx context.Context,
 	detail := &SimDetail{}
 	res := &Result{Tc: sched.Tc, Schedule: sched, Detail: detail}
 	err := rec.Phase(ctx, "simulate", func(ctx context.Context) error {
-		tr, serr := run(ctx, sched)
+		tr, serr := sim.Run(ctx, ov, sched, sim.Config{Cycles: opts.SimCycles})
 		detail.Trace = tr
 		if serr != nil {
 			return serr
@@ -218,7 +164,9 @@ func simSolve(ctx context.Context,
 	}
 	if opts.Trials > 0 {
 		err = rec.Phase(ctx, "montecarlo", func(ctx context.Context) error {
-			mc, serr := monteCarlo(ctx, sched, rand.New(rand.NewSource(opts.Seed)))
+			mc, serr := sim.RunMonteCarlo(ctx, ov, sched,
+				sim.MCConfig{Cycles: opts.SimCycles, Trials: opts.Trials, Workers: opts.Workers},
+				rand.New(rand.NewSource(opts.Seed)))
 			detail.MC = mc
 			return serr
 		})

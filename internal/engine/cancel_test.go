@@ -70,7 +70,7 @@ func TestMidSolveCancellation(t *testing.T) {
 	// A valid 4-phase schedule from a small circuit: schedules are
 	// per-phase, so it drives the simulator on any 4-phase workload.
 	small := gen.Pipeline(4, 8, 1, 2, func(i int) float64 { return 10 })
-	opt, err := engine.Solve(context.Background(), "mlp", small, engine.Options{})
+	opt, err := engine.Solve(context.Background(), "mlp", small.MustFreeze().Overlay(), engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +93,7 @@ func TestMidSolveCancellation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			ov := tc.c.MustFreeze().Overlay()
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			timer := time.AfterFunc(20*time.Millisecond, cancel)
@@ -100,7 +101,7 @@ func TestMidSolveCancellation(t *testing.T) {
 			defer cancel()
 
 			start := time.Now()
-			res, err := engine.Solve(ctx, tc.name, tc.c, tc.opts)
+			res, err := engine.Solve(ctx, tc.name, ov, tc.opts)
 			elapsed := time.Since(start)
 
 			if !errors.Is(err, context.Canceled) {

@@ -7,7 +7,8 @@
 // so the façade and the command-line tools can select an engine by
 // string without knowing any engine package directly.
 //
-// Every solve goes through Run, which guarantees the cross-cutting
+// Every solve goes through Solve, which takes a frozen snapshot seen
+// through a core.DelayOverlay and guarantees the cross-cutting
 // contract the individual packages implement:
 //
 //   - the context's deadline/cancellation is honored inside the hot
@@ -44,9 +45,9 @@ var ErrUnknownEngine = errors.New("engine: unknown engine")
 
 // PanicError is a panic caught at the engine boundary and converted
 // into an ordinary error: no panic from a solver's internals crosses
-// Run, RunOverlay or the session layer. The recovered value and the
-// goroutine stack at the panic site are retained for diagnosis, and
-// obs.PanicsRecovered counts every conversion.
+// Solve, the certified supervisor or the session layer. The recovered
+// value and the goroutine stack at the panic site are retained for
+// diagnosis, and obs.PanicsRecovered counts every conversion.
 type PanicError struct {
 	// Engine is the registry name of the solver that panicked.
 	Engine string
@@ -84,14 +85,14 @@ type Options struct {
 	// identical for any value; only the wall clock changes.
 	Workers int
 	// Rec, when non-nil, receives the solve's counters and stage
-	// timings (use obs.Rec.SetSink for a live trace). When nil, Run
+	// timings (use obs.Rec.SetSink for a live trace). When nil, Solve
 	// creates a private recorder; either way Result.Stats is populated.
 	Rec *obs.Rec
-	// WarmBasis, when non-nil, seeds the "mlp" engine's overlay solve
-	// with a previous optimal simplex basis (core.Result.LPBasis),
-	// turning the LP phase into a warm-started dual re-solve. Only read
-	// by "mlp" through SolveOverlay; the degradation ladder clears it
-	// when it retreats to a cold rung.
+	// WarmBasis, when non-nil, seeds the "mlp" engine's LP solve with a
+	// previous optimal simplex basis (core.Result.LPBasis), turning the
+	// LP phase into a warm-started dual re-solve. Only read by "mlp";
+	// the degradation ladder starts at its warm rung when it is set and
+	// clears it when it retreats to a cold rung.
 	WarmBasis *lp.Basis
 	// DecompState, when non-nil, is the per-component answer cache the
 	// "decomp" engine (and "mlp" above DecompThreshold) reuses across
@@ -126,11 +127,11 @@ type Result struct {
 	// for feasible solves a constraint-by-constraint verification of
 	// (Tc, s, D) plus the engine's optimality evidence (LP duality gap
 	// or critical cycle); for certified-infeasible solves the validated
-	// infeasibility witness. Nil for plain Solve/Run calls.
+	// infeasibility witness. Nil for plain Solve calls.
 	Certificate *verify.Certificate
 	// Trail records every degradation-ladder rung the supervisor tried
 	// to produce this result, in order, ending with the rung that
-	// produced it. Nil for plain Solve/Run calls.
+	// produced it. Nil for plain Solve calls.
 	Trail []Attempt
 	// Detail is the engine's native result (*core.Result, *mcr.Result,
 	// *decomp.Result, *nrip.Result, *ettf.Result, or *SimDetail) for
@@ -145,23 +146,18 @@ type Result struct {
 type Solver interface {
 	// Name is the stable registry name ("mlp", "mcr", …).
 	Name() string
-	// Solve runs the engine. On cancellation it returns ctx.Err()
-	// (possibly wrapped); Run adds the stats snapshot afterwards.
-	Solve(ctx context.Context, c *core.Circuit, opts Options) (*Result, error)
+	// Solve runs the engine against a frozen snapshot seen through a
+	// delay overlay: the snapshot was validated at Freeze, its caches
+	// (kernel, matrices, phase order) may be reused, and nothing
+	// shared may be mutated. The overlay is never the zero value. On
+	// cancellation it returns ctx.Err() (possibly wrapped); the
+	// package-level Solve adds the stats snapshot afterwards.
+	Solve(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error)
 }
 
-// CompiledSolver is the optional overlay-native extension of Solver:
-// engines that implement it solve directly against a frozen snapshot
-// seen through a core.DelayOverlay — no per-call validation, snapshot
-// caches (kernel, matrices, phase order) reused, nothing shared
-// mutated. Engines that don't implement it are still usable through
-// RunOverlay, which falls back to the overlay's materialized circuit
-// (zero-copy when the overlay carries no edits, since no solver
-// mutates its input).
-type CompiledSolver interface {
-	Solver
-	SolveOverlay(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error)
-}
+// errZeroOverlay rejects a solve handed the zero DelayOverlay, which
+// carries no snapshot to solve.
+var errZeroOverlay = errors.New("overlay solve without a snapshot (start from Compiled.Overlay)")
 
 var (
 	regMu    sync.RWMutex
@@ -199,35 +195,22 @@ func Names() []string {
 	return names
 }
 
-// Solve resolves name in the registry and runs the engine via Run.
-func Solve(ctx context.Context, name string, c *core.Circuit, opts Options) (*Result, error) {
+// Solve resolves name in the registry and runs the engine against a
+// frozen snapshot seen through a delay overlay, under the engine
+// contract: the overlay and the options are checked up front, an obs
+// recorder is attached to the context (opts.Rec, or a private one),
+// the goroutine is pprof-labeled with the engine name, and the
+// returned Result — non-nil even on error, a deliberate deviation from
+// the usual Go convention — carries the stats snapshot of whatever
+// progress was made. Start from Compiled.Overlay; a builder circuit is
+// frozen once with Circuit.Freeze.
+func Solve(ctx context.Context, name string, ov core.DelayOverlay, opts Options) (*Result, error) {
 	s, ok := Get(name)
 	if !ok {
 		return nil, fmt.Errorf("%w %q (available: %s)", ErrUnknownEngine, name, strings.Join(Names(), ", "))
 	}
-	return Run(ctx, s, c, opts)
-}
-
-// SolveOverlay resolves name in the registry and runs the engine
-// against a snapshot overlay via RunOverlay.
-func SolveOverlay(ctx context.Context, name string, ov core.DelayOverlay, opts Options) (*Result, error) {
-	s, ok := Get(name)
-	if !ok {
-		return nil, fmt.Errorf("%w %q (available: %s)", ErrUnknownEngine, name, strings.Join(Names(), ", "))
-	}
-	return RunOverlay(ctx, s, ov, opts)
-}
-
-// RunOverlay executes one solve against a frozen snapshot seen through
-// a delay overlay, under the same contract as Run. Overlay-native
-// engines (CompiledSolver) skip validation and reuse snapshot caches;
-// the others receive the overlay's materialized circuit — a shared
-// read-only view when the overlay has no edits, a private clone
-// otherwise.
-func RunOverlay(ctx context.Context, s Solver, ov core.DelayOverlay, opts Options) (*Result, error) {
-	name := s.Name()
 	if !ov.Valid() {
-		return &Result{Engine: name}, fmt.Errorf("engine/%s: overlay solve without a snapshot (start from Compiled.Overlay)", name)
+		return &Result{Engine: name}, fmt.Errorf("engine/%s: %w", name, errZeroOverlay)
 	}
 	if err := opts.Core.Validate(); err != nil {
 		return &Result{Engine: name}, fmt.Errorf("engine/%s: %w", name, err)
@@ -242,42 +225,7 @@ func RunOverlay(ctx context.Context, s Solver, ov core.DelayOverlay, opts Option
 	var err error
 	pprof.Do(ctx, pprof.Labels("mintc.engine", name), func(ctx context.Context) {
 		res, err = runGuarded(name, rec, func() (*Result, error) {
-			if cs, ok := s.(CompiledSolver); ok {
-				return cs.SolveOverlay(ctx, ov, opts)
-			}
-			return s.Solve(ctx, ov.Materialize(), opts)
-		})
-	})
-	if res == nil {
-		res = &Result{}
-	}
-	res.Engine = name
-	res.Stats = rec.Snapshot()
-	return res, err
-}
-
-// Run executes one solve under the engine contract: options are
-// validated up front, an obs recorder is attached to the context
-// (opts.Rec, or a private one), the goroutine is pprof-labeled with the
-// engine name, and the returned Result — non-nil even on error, a
-// deliberate deviation from the usual Go convention — carries the stats
-// snapshot of whatever progress was made.
-func Run(ctx context.Context, s Solver, c *core.Circuit, opts Options) (*Result, error) {
-	name := s.Name()
-	if err := opts.Core.Validate(); err != nil {
-		return &Result{Engine: name}, fmt.Errorf("engine/%s: %w", name, err)
-	}
-	rec := opts.Rec
-	if rec == nil {
-		rec = obs.New()
-	}
-	ctx = obs.With(ctx, rec)
-
-	var res *Result
-	var err error
-	pprof.Do(ctx, pprof.Labels("mintc.engine", name), func(ctx context.Context) {
-		res, err = runGuarded(name, rec, func() (*Result, error) {
-			return s.Solve(ctx, c, opts)
+			return s.Solve(ctx, ov, opts)
 		})
 	})
 	if res == nil {

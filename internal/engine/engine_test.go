@@ -35,7 +35,7 @@ func TestRegistryHasAllEngines(t *testing.T) {
 }
 
 func TestSolveUnknownEngine(t *testing.T) {
-	_, err := engine.Solve(context.Background(), "simplex2000", circuits.Example1(80), engine.Options{})
+	_, err := engine.Solve(context.Background(), "simplex2000", circuits.Example1(80).MustFreeze().Overlay(), engine.Options{})
 	if err == nil {
 		t.Fatal("expected error for unknown engine")
 	}
@@ -47,10 +47,10 @@ func TestSolveUnknownEngine(t *testing.T) {
 // Tc* = 110; the conservative engines (ettf, nrip) must upper-bound
 // it. All must populate Stats.
 func TestAllEnginesSolveExample1(t *testing.T) {
-	c := circuits.Example1(80)
+	ov := circuits.Example1(80).MustFreeze().Overlay()
 	const want = 110.0
 	for _, name := range engine.Names() {
-		res, err := engine.Solve(context.Background(), name, c, engine.Options{})
+		res, err := engine.Solve(context.Background(), name, ov, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -79,10 +79,10 @@ func TestAllEnginesSolveExample1(t *testing.T) {
 	}
 }
 
-// TestAllEnginesSolveOverlay drives every engine through the overlay
-// entry point — the native path for mlp/sim, the materialize fallback
-// for the rest — with an edit moving Example 1 from Δ41=50 to Δ41=80,
-// and requires exact agreement with solving a circuit built at Δ41=80.
+// TestAllEnginesSolveOverlay drives every engine through an edited
+// overlay — read natively by mlp/decomp/sim, materialized by the
+// rest — with an edit moving Example 1 from Δ41=50 to Δ41=80, and
+// requires exact agreement with solving a circuit built at Δ41=80.
 func TestAllEnginesSolveOverlay(t *testing.T) {
 	cc, err := circuits.Example1(50).Freeze()
 	if err != nil {
@@ -90,11 +90,11 @@ func TestAllEnginesSolveOverlay(t *testing.T) {
 	}
 	ov := cc.Overlay().With(3, 80)
 	for _, name := range engine.Names() {
-		got, err := engine.SolveOverlay(context.Background(), name, ov, engine.Options{Seed: 1, Trials: 8})
+		got, err := engine.Solve(context.Background(), name, ov, engine.Options{Seed: 1, Trials: 8})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := engine.Solve(context.Background(), name, circuits.Example1(80), engine.Options{Seed: 1, Trials: 8})
+		want, err := engine.Solve(context.Background(), name, circuits.Example1(80).MustFreeze().Overlay(), engine.Options{Seed: 1, Trials: 8})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -115,30 +115,78 @@ func TestAllEnginesSolveOverlay(t *testing.T) {
 }
 
 func TestSolveOverlayZeroOverlay(t *testing.T) {
-	_, err := engine.SolveOverlay(context.Background(), "mlp", core.DelayOverlay{}, engine.Options{})
+	_, err := engine.Solve(context.Background(), "mlp", core.DelayOverlay{}, engine.Options{})
 	if err == nil {
 		t.Fatal("expected error for a zero overlay")
 	}
 }
 
+// TestSolveCertifiedZeroOverlay: the certified supervisor rejects the
+// zero overlay before its ladder starts, as an error (not a panic in
+// certification) attributed to the requested engine.
+func TestSolveCertifiedZeroOverlay(t *testing.T) {
+	var rungs []string
+	res, err := engine.SolveCertifiedOverlay(context.Background(), "mlp", core.DelayOverlay{}, engine.Options{},
+		engine.Policy{OnRung: func(_, r string) { rungs = append(rungs, r) }})
+	if err == nil {
+		t.Fatal("expected error for a zero overlay")
+	}
+	if res == nil || res.Engine != "mlp" {
+		t.Fatalf("Result = %+v, want a non-nil Result for engine mlp", res)
+	}
+	if len(rungs) != 0 {
+		t.Errorf("rungs tried = %v, want none", rungs)
+	}
+}
+
+// TestSolveCertifiedInvalidCircuit: a circuit that fails validation is
+// an input error reported by the up-front Freeze — no ladder rung runs,
+// no fallback is counted, and the error is not ladder exhaustion.
+func TestSolveCertifiedInvalidCircuit(t *testing.T) {
+	c := core.NewCircuit(2)
+	_, verr := c.Freeze()
+	if verr == nil {
+		t.Fatal("empty circuit froze")
+	}
+	var rungs []string
+	rec := obs.New()
+	res, err := engine.SolveCertified(context.Background(), "mlp", c, engine.Options{Rec: rec},
+		engine.Policy{OnRung: func(_, r string) { rungs = append(rungs, r) }})
+	if inner := errors.Unwrap(err); inner == nil || inner.Error() != verr.Error() {
+		t.Fatalf("err = %v, want it to wrap the validation error %q", err, verr)
+	}
+	if errors.Is(err, engine.ErrLadderExhausted) {
+		t.Errorf("err = %v wraps ErrLadderExhausted", err)
+	}
+	if res == nil || len(res.Trail) != 0 {
+		t.Errorf("Result = %+v, want a non-nil Result with an empty Trail", res)
+	}
+	if len(rungs) != 0 {
+		t.Errorf("rungs tried = %v, want none", rungs)
+	}
+	if got := rec.Get(obs.Fallbacks); got != 0 {
+		t.Errorf("fallbacks = %d, want 0", got)
+	}
+}
+
 func TestRunRejectsInvalidOptions(t *testing.T) {
-	c := circuits.Example1(80)
+	ov := circuits.Example1(80).MustFreeze().Overlay()
 	opts := engine.Options{Core: core.Options{Skew: -1}}
 	for _, name := range engine.Names() {
-		res, err := engine.Solve(context.Background(), name, c, opts)
+		res, err := engine.Solve(context.Background(), name, ov, opts)
 		if err == nil {
 			t.Errorf("%s: negative Skew accepted", name)
 		}
 		if res == nil {
-			t.Errorf("%s: Run must return a non-nil Result even on error", name)
+			t.Errorf("%s: Solve must return a non-nil Result even on error", name)
 		}
 	}
 }
 
 func TestRunUsesProvidedRecorder(t *testing.T) {
 	rec := obs.New()
-	c := circuits.Example1(80)
-	res, err := engine.Solve(context.Background(), "mlp", c, engine.Options{Rec: rec})
+	ov := circuits.Example1(80).MustFreeze().Overlay()
+	res, err := engine.Solve(context.Background(), "mlp", ov, engine.Options{Rec: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,9 +201,9 @@ func TestRunUsesProvidedRecorder(t *testing.T) {
 func TestCancelledContextReturnsPartialStats(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := circuits.Example1(80)
+	ov := circuits.Example1(80).MustFreeze().Overlay()
 	for _, name := range engine.Names() {
-		res, err := engine.Solve(ctx, name, c, engine.Options{})
+		res, err := engine.Solve(ctx, name, ov, engine.Options{})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
@@ -166,12 +214,12 @@ func TestCancelledContextReturnsPartialStats(t *testing.T) {
 }
 
 func TestSimEngineValidatesGivenSchedule(t *testing.T) {
-	c := circuits.Example1(80)
-	opt, err := engine.Solve(context.Background(), "mlp", c, engine.Options{})
+	ov := circuits.Example1(80).MustFreeze().Overlay()
+	opt, err := engine.Solve(context.Background(), "mlp", ov, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Solve(context.Background(), "sim", c, engine.Options{
+	res, err := engine.Solve(context.Background(), "sim", ov, engine.Options{
 		Schedule: opt.Schedule,
 		Trials:   10,
 		Seed:     1,

@@ -67,7 +67,7 @@ func TestLadderPanicRecovery(t *testing.T) {
 		t.Errorf("fallbacks = %d, want >= 1", got)
 	}
 	var pe *engine.PanicError
-	_, perr := engine.Solve(context.Background(), "mlp", circuits.Example1(80), engine.Options{})
+	_, perr := engine.Solve(context.Background(), "mlp", circuits.Example1(80).MustFreeze().Overlay(), engine.Options{})
 	if !errors.As(perr, &pe) || pe.Stack == "" {
 		t.Errorf("plain solve error = %v, want *PanicError with a stack", perr)
 	}
@@ -81,7 +81,7 @@ func TestLadderSingularBasisFallsToDense(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.SetAfter("lp.factor", 0, -1, func() error { return lp.ErrSingularBasis })
 
-	_, perr := engine.Solve(context.Background(), "mlp", circuits.Example1(80), engine.Options{})
+	_, perr := engine.Solve(context.Background(), "mlp", circuits.Example1(80).MustFreeze().Overlay(), engine.Options{})
 	if !errors.Is(perr, lp.ErrSingularBasis) {
 		t.Fatalf("plain solve error = %v, want errors.Is ErrSingularBasis", perr)
 	}

@@ -64,7 +64,7 @@ func TestScheduleObjectiveBypassesCycleRatioRungs(t *testing.T) {
 	// The plain (uncertified) solves reject: certify-or-bypass means a
 	// schedule objective never silently runs a min-Tc algorithm.
 	for _, name := range []string{"mcr", "decomp", "ettf", "nrip"} {
-		if _, err := engine.Solve(context.Background(), name, c, opts); err == nil ||
+		if _, err := engine.Solve(context.Background(), name, c.MustFreeze().Overlay(), opts); err == nil ||
 			!strings.Contains(err.Error(), "min-Tc only") {
 			t.Errorf("engine %q plain solve: err = %v, want a min-Tc-only rejection", name, err)
 		}

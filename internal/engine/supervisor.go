@@ -80,7 +80,7 @@ func keepOpts(ctx context.Context, o Options) (context.Context, Options) { retur
 //
 // The default ladders degrade from fastest to most independent:
 //
-//	mlp: warm (overlay with a seed basis) → cold sparse revised
+//	mlp: warm (when opts.WarmBasis is set) → cold sparse revised
 //	     simplex → dense tableau oracle → the mcr engine, a different
 //	     algorithm entirely;
 //	mcr: primary → the mlp engine;
@@ -92,7 +92,7 @@ func keepOpts(ctx context.Context, o Options) (context.Context, Options) { retur
 // rungs: mlp drops its final mcr rung, and the mcr and decomp engines
 // route straight to the LP path (sparse → dense) instead of running a
 // primary that would only reject the objective.
-func ladderFor(name string, overlay bool, opts Options, pol Policy) ([]rung, error) {
+func ladderFor(name string, opts Options, pol Policy) ([]rung, error) {
 	schedObj := !opts.Core.Objective.IsMinTc()
 	known := map[string]rung{}
 	var def []string
@@ -111,7 +111,7 @@ func ladderFor(name string, overlay bool, opts Options, pol Policy) ([]rung, err
 			o.WarmBasis = nil
 			return ctx, o
 		}}
-		if overlay && opts.WarmBasis != nil {
+		if opts.WarmBasis != nil {
 			def = []string{"warm", "sparse", "dense", "mcr"}
 		} else {
 			def = []string{"sparse", "dense", "mcr"}
@@ -182,46 +182,32 @@ func ladderFor(name string, overlay bool, opts Options, pol Policy) ([]rung, err
 	return out, nil
 }
 
-// SolveCertified runs the named engine on the circuit and independently
-// certifies the answer, degrading down the engine's fallback ladder
-// when a solve fails, panics, or produces a result the checker
-// rejects. On success the Result carries a passing Certificate and the
-// Trail of attempts; a certified-infeasible answer returns the
+// SolveCertified freezes the circuit and runs SolveCertifiedOverlay on
+// the snapshot's empty overlay. A circuit that fails validation is an
+// input error, returned before any ladder rung runs.
+func SolveCertified(ctx context.Context, name string, c *core.Circuit, opts Options, pol Policy) (*Result, error) {
+	cc, err := c.Freeze()
+	if err != nil {
+		return &Result{Engine: name}, fmt.Errorf("engine/%s: %w", name, err)
+	}
+	return SolveCertifiedOverlay(ctx, name, cc.Overlay(), opts, pol)
+}
+
+// SolveCertifiedOverlay runs the named engine against a snapshot
+// overlay and independently certifies the answer, degrading down the
+// engine's fallback ladder when a solve fails, panics, or produces a
+// result the checker rejects. When opts.WarmBasis is set the mlp
+// ladder starts at the warm-started rung and retreats to cold solves
+// from there. On success the Result carries a passing Certificate and
+// the Trail of attempts; a certified-infeasible answer returns the
 // (wrapped) infeasibility error together with a Result whose
 // Certificate validates the witness. Context cancellation aborts the
-// ladder immediately.
-func SolveCertified(ctx context.Context, name string, c *core.Circuit, opts Options, pol Policy) (*Result, error) {
-	return solveCertified(ctx, name, opts, pol, false,
-		func(ctx context.Context, eng string, o Options) (*Result, error) {
-			return Solve(ctx, eng, c, o)
-		},
-		func() *core.Circuit { return c })
-}
-
-// SolveCertifiedOverlay is SolveCertified against a snapshot overlay.
-// When opts.WarmBasis is set the mlp ladder starts at the warm-started
-// rung and retreats to cold solves from there.
+// ladder immediately. The zero overlay is rejected before any rung
+// runs.
 func SolveCertifiedOverlay(ctx context.Context, name string, ov core.DelayOverlay, opts Options, pol Policy) (*Result, error) {
-	var mat *core.Circuit
-	return solveCertified(ctx, name, opts, pol, true,
-		func(ctx context.Context, eng string, o Options) (*Result, error) {
-			return SolveOverlay(ctx, eng, ov, o)
-		},
-		func() *core.Circuit {
-			if mat == nil {
-				mat = ov.Materialize()
-			}
-			return mat
-		})
-}
-
-// solveCertified is the shared supervisor loop: walk the ladder, call
-// the engine, certify, fall through on any failure that is not a
-// context abort or a certified-infeasible answer.
-func solveCertified(ctx context.Context, name string, opts Options, pol Policy, overlay bool,
-	call func(context.Context, string, Options) (*Result, error),
-	circuit func() *core.Circuit) (*Result, error) {
-
+	if !ov.Valid() {
+		return &Result{Engine: name}, fmt.Errorf("engine/%s: %w", name, errZeroOverlay)
+	}
 	tol := pol.Tolerance
 	if tol <= 0 {
 		tol = verify.DefaultTol
@@ -231,10 +217,13 @@ func solveCertified(ctx context.Context, name string, opts Options, pol Policy, 
 		rec = obs.New()
 		opts.Rec = rec
 	}
-	ladder, err := ladderFor(name, overlay, opts, pol)
+	ladder, err := ladderFor(name, opts, pol)
 	if err != nil {
 		return &Result{Engine: name}, err
 	}
+	// The checker reads a plain circuit: the snapshot's own view, or a
+	// private clone carrying the overlay's edits.
+	c := ov.Materialize()
 
 	var trail []Attempt
 	var last *Result
@@ -247,7 +236,7 @@ func solveCertified(ctx context.Context, name string, opts Options, pol Policy, 
 			pol.OnRung(name, r.name)
 		}
 		rctx, ropts := r.prep(ctx, opts)
-		res, err := call(rctx, r.engine, ropts)
+		res, err := Solve(rctx, r.engine, ov, ropts)
 		if res == nil {
 			res = &Result{Engine: r.engine}
 		}
@@ -264,7 +253,7 @@ func solveCertified(ctx context.Context, name string, opts Options, pol Policy, 
 			// An infeasibility claim with a witness that checks out is a
 			// final, certified answer — not a failure to fall through.
 			cert := certTimed(rec, func() *verify.Certificate {
-				return certifyInfeasible(circuit(), ropts.Core, err, tol)
+				return certifyInfeasible(c, ropts.Core, err, tol)
 			})
 			if cert.Certified() {
 				at.Certified = true
@@ -282,7 +271,7 @@ func solveCertified(ctx context.Context, name string, opts Options, pol Policy, 
 			continue
 		}
 		cert := certTimed(rec, func() *verify.Certificate {
-			return certifyResult(circuit(), ropts.Core, res, tol)
+			return certifyResult(c, ropts.Core, res, tol)
 		})
 		if cert.Certified() {
 			at.Certified = true

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -49,7 +50,7 @@ func TestMegaCrossValidation(t *testing.T) {
 			t.Fatalf("iter %d: analysis rejects MCR optimum", iter)
 		}
 		if opts.Skew == 0 && opts.MinPhaseWidth == 0 {
-			tr, err := sim.Run(c, lpRes.Schedule, sim.Config{Cycles: 64})
+			tr, err := sim.Run(context.Background(), c.MustFreeze().Overlay(), lpRes.Schedule, sim.Config{Cycles: 64})
 			if err != nil || len(tr.Violations) != 0 || tr.ConvergedAt < 0 {
 				t.Fatalf("iter %d: simulation disagrees with statics", iter)
 			}

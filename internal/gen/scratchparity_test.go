@@ -120,7 +120,7 @@ func TestPooledCampaignBitIdentity(t *testing.T) {
 		cfg := sim.MCConfig{Trials: 16, Cycles: 8, Workers: 4}
 		var want *sim.MCResult
 		for rep := 0; rep < 3; rep++ {
-			res, err := sim.RunMonteCarloOverlay(cc.Overlay(), r0.Schedule, cfg, rand.New(rand.NewSource(7)))
+			res, err := sim.RunMonteCarlo(context.Background(), cc.Overlay(), r0.Schedule, cfg, rand.New(rand.NewSource(7)))
 			if err != nil {
 				t.Fatalf("%s rep %d: %v", bm.Name, rep, err)
 			}
@@ -162,7 +162,7 @@ func TestPooledScratchConcurrentBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.MCConfig{Trials: 8, Cycles: 8, Workers: 2}
-	wantMC, err := sim.RunMonteCarloOverlay(cc.Overlay(), wantMin.Schedule, cfg, rand.New(rand.NewSource(9)))
+	wantMC, err := sim.RunMonteCarlo(context.Background(), cc.Overlay(), wantMin.Schedule, cfg, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestPooledScratchConcurrentBitIdentity(t *testing.T) {
 				}
 				errs[i] = err
 			default:
-				r, err := sim.RunMonteCarloOverlay(cc.Overlay(), wantMin.Schedule, cfg, rand.New(rand.NewSource(9)))
+				r, err := sim.RunMonteCarlo(context.Background(), cc.Overlay(), wantMin.Schedule, cfg, rand.New(rand.NewSource(9)))
 				if err == nil && *r != *wantMC {
 					t.Errorf("goroutine %d: concurrent campaign %+v != %+v", i, r, wantMC)
 				}

@@ -597,7 +597,7 @@ func (s *Server) methodMonteCarlo(ctx context.Context, body []byte, emit func(an
 		}
 		rng := rand.New(rand.NewSource(req.Seed + int64(agg.Trials)))
 		cfg := sim.MCConfig{Cycles: req.Cycles, Trials: n}
-		res, err := sim.RunMonteCarloOverlayCtx(ctx, ov, sched, cfg, rng)
+		res, err := sim.RunMonteCarlo(ctx, ov, sched, cfg, rng)
 		if err != nil {
 			if ctx.Err() != nil {
 				return err

@@ -27,7 +27,7 @@ type slowEngine struct{}
 
 func (slowEngine) Name() string { return "slowtest" }
 
-func (slowEngine) Solve(ctx context.Context, c *core.Circuit, opts engine.Options) (*engine.Result, error) {
+func (slowEngine) Solve(ctx context.Context, ov core.DelayOverlay, opts engine.Options) (*engine.Result, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }

@@ -27,7 +27,7 @@ type disconnectEngine struct {
 
 func (e *disconnectEngine) Name() string { return "disconnecttest" }
 
-func (e *disconnectEngine) Solve(ctx context.Context, c *core.Circuit, opts engine.Options) (*engine.Result, error) {
+func (e *disconnectEngine) Solve(ctx context.Context, ov core.DelayOverlay, opts engine.Options) (*engine.Result, error) {
 	e.mu.Lock()
 	e.calls++
 	first := e.calls == 1

@@ -25,7 +25,7 @@ type query struct {
 }
 
 func buildQueries(nPaths int) []query {
-	kinds := []string{"mintc", "checktc", "reopt", "mlp", "mcr", "ettf", "nrip", "sim"}
+	kinds := []string{"mintc", "checktc", "reopt", "mlp", "mcr", "decomp", "ettf", "nrip", "sim"}
 	qs := make([]query, 48)
 	for i := range qs {
 		qs[i].kind = kinds[i%len(kinds)]

@@ -196,7 +196,7 @@ func (s *Session) Solve(ctx context.Context, name string, ov core.DelayOverlay, 
 		if callOpts.DecompState == nil {
 			callOpts.DecompState = s.decompState(opts.Core)
 		}
-		return engine.SolveOverlay(ctx, name, ov, callOpts)
+		return engine.Solve(ctx, name, ov, callOpts)
 	})
 	if err != nil {
 		return nil, err

@@ -22,7 +22,7 @@ func TestParallelMonteCarloMatchesSequential(t *testing.T) {
 				t.Skipf("MinTc: %v", err)
 			}
 			cfg := MCConfig{Cycles: 8, Trials: 24, Workers: 1}
-			seq, err := RunMonteCarlo(bm.Circuit, r.Schedule, cfg, rand.New(rand.NewSource(7)))
+			seq, err := RunMonteCarlo(context.Background(), frozen(bm.Circuit), r.Schedule, cfg, rand.New(rand.NewSource(7)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,7 +31,7 @@ func TestParallelMonteCarloMatchesSequential(t *testing.T) {
 			}
 			for _, workers := range []int{0, 2, 3, 8, 64} {
 				cfg.Workers = workers
-				par, err := RunMonteCarlo(bm.Circuit, r.Schedule, cfg, rand.New(rand.NewSource(7)))
+				par, err := RunMonteCarlo(context.Background(), frozen(bm.Circuit), r.Schedule, cfg, rand.New(rand.NewSource(7)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -53,7 +53,7 @@ func TestParallelMonteCarloCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunMonteCarloCtx(ctx, c, r.Schedule,
+	res, err := RunMonteCarlo(ctx, frozen(c), r.Schedule,
 		MCConfig{Cycles: 1 << 20, Trials: 1 << 20, Workers: 4}, rand.New(rand.NewSource(1)))
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -86,11 +86,12 @@ func BenchmarkMonteCarloTrial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ov := frozen(c)
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunMonteCarlo(c, r.Schedule, MCConfig{Trials: 1, Workers: 1}, rng); err != nil {
+		if _, err := RunMonteCarlo(context.Background(), ov, r.Schedule, MCConfig{Trials: 1, Workers: 1}, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

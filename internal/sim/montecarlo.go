@@ -42,22 +42,23 @@ type MCResult struct {
 	WorstSlack float64
 }
 
-// RunMonteCarlo simulates the circuit with per-cycle random delay
-// variation: in every cycle each combinational path independently
-// draws its delay uniformly from [MinDelay, Delay]. Because the
-// static model (core.CheckTc) verifies the worst case — every path
-// simultaneously at its maximum — a schedule that passes the static
-// analysis can never fail under sampled delays (departures are
-// monotone in the delays). The Monte-Carlo run therefore serves two
-// purposes: a randomized soundness check of that monotonicity
-// argument, and a way to observe the actual slack distribution under
-// realistic (non-worst-case) conditions.
-func RunMonteCarlo(c *core.Circuit, sched *core.Schedule, cfg MCConfig, rng *rand.Rand) (*MCResult, error) {
-	return RunMonteCarloCtx(context.Background(), c, sched, cfg, rng)
-}
-
-// RunMonteCarloCtx is RunMonteCarlo with cancellation and
-// observability: every worker polls the context once per simulated
+// RunMonteCarlo simulates a frozen snapshot seen through a delay
+// overlay with per-cycle random delay variation: in every cycle each
+// combinational path independently draws its delay uniformly from
+// [MinDelay, Delay]. Because the static model (core.CheckTc) verifies
+// the worst case — every path simultaneously at its maximum — a
+// schedule that passes the static analysis can never fail under
+// sampled delays (departures are monotone in the delays). The
+// Monte-Carlo run therefore serves two purposes: a randomized
+// soundness check of that monotonicity argument, and a way to observe
+// the actual slack distribution under realistic (non-worst-case)
+// conditions.
+//
+// The snapshot's cached kernel (Base/Span refolded for edited paths)
+// and phase order are reused, nothing is validated per call, and
+// nothing shared is mutated — concurrent campaigns over divergent
+// overlays of one snapshot are safe and results stay bit-identical to
+// mutating a clone. Every worker polls the context once per simulated
 // cycle, and trial/cycle counts are reported into any obs recorder
 // carried by the context. On cancellation the merged result of the
 // trials completed so far is returned alongside the context's error
@@ -69,37 +70,11 @@ func RunMonteCarlo(c *core.Circuit, sched *core.Schedule, cfg MCConfig, rng *ran
 // trial; the trials themselves run on private PRNGs. A fixed seed
 // therefore reproduces the exact same statistics regardless of
 // Workers, GOMAXPROCS, or scheduling.
-func RunMonteCarloCtx(ctx context.Context, c *core.Circuit, sched *core.Schedule, cfg MCConfig, rng *rand.Rand) (*MCResult, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return runMonteCarloCtx(ctx, c, nil, nil, sched, cfg, rng)
-}
-
-// RunMonteCarloOverlay samples a frozen snapshot seen through a delay
-// overlay.
-func RunMonteCarloOverlay(ov core.DelayOverlay, sched *core.Schedule, cfg MCConfig, rng *rand.Rand) (*MCResult, error) {
-	return RunMonteCarloOverlayCtx(context.Background(), ov, sched, cfg, rng)
-}
-
-// RunMonteCarloOverlayCtx is RunMonteCarloCtx against a Compiled
-// snapshot's overlay: the snapshot's cached kernel (Base/Span refolded
-// for edited paths) and phase order are reused, no per-call
-// validation, no shared mutation — concurrent campaigns over divergent
-// overlays of one snapshot are safe and results stay bit-identical to
-// mutating a clone.
-func RunMonteCarloOverlayCtx(ctx context.Context, ov core.DelayOverlay, sched *core.Schedule, cfg MCConfig, rng *rand.Rand) (*MCResult, error) {
+func RunMonteCarlo(ctx context.Context, ov core.DelayOverlay, sched *core.Schedule, cfg MCConfig, rng *rand.Rand) (*MCResult, error) {
 	if !ov.Valid() {
-		return nil, fmt.Errorf("sim: RunMonteCarloOverlay on a zero DelayOverlay (start from Compiled.Overlay)")
+		return nil, fmt.Errorf("sim: RunMonteCarlo on a zero DelayOverlay (start from Compiled.Overlay)")
 	}
-	return runMonteCarloCtx(ctx, ov.Base().Circuit(), ov.Kernel(core.Options{}), ov.Base().PhaseOrder(), sched, cfg, rng)
-}
-
-// runMonteCarloCtx is the campaign body shared by the circuit and
-// overlay entry points. kn and order may be nil (compiled/derived
-// here); when given, they must correspond to c under zero-margin
-// Options.
-func runMonteCarloCtx(ctx context.Context, c *core.Circuit, kn *core.Kernel, order []int, sched *core.Schedule, cfg MCConfig, rng *rand.Rand) (*MCResult, error) {
+	c := ov.Base().Circuit()
 	if sched.K() != c.K() {
 		return nil, fmt.Errorf("sim: schedule has %d phases, circuit has %d", sched.K(), c.K())
 	}
@@ -137,12 +112,8 @@ func runMonteCarloCtx(ctx context.Context, c *core.Circuit, kn *core.Kernel, ord
 		rec.Add(obs.ScratchReuses, 1)
 	}
 	l := c.L()
-	if kn == nil {
-		kn = core.CompileKernel(c, core.Options{})
-	}
-	if order == nil {
-		order = phaseOrder(c)
-	}
+	kn := ov.Kernel(core.Options{})
+	order := ov.Base().PhaseOrder()
 	if cap(sc.open0) < l {
 		sc.open0 = make([]float64, l)
 	}
@@ -293,21 +264,4 @@ func (r *trialRNG) next() uint64 {
 // float64 draws uniformly from [0, 1).
 func (r *trialRNG) float64() float64 {
 	return float64(r.next()>>11) / (1 << 53)
-}
-
-// phaseOrder returns synchronizer indices sorted by phase so
-// same-cycle dependencies (strictly increasing phase) resolve in one
-// pass.
-func phaseOrder(c *core.Circuit) []int {
-	order := make([]int, c.L())
-	for i := range order {
-		order[i] = i
-	}
-	// Insertion sort by phase keeps it simple and stable.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && c.Sync(order[j]).Phase < c.Sync(order[j-1]).Phase; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	return order
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,7 +34,7 @@ func TestMonteCarloNeverFailsAtWorstCaseFeasibleSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunMonteCarlo(c, r.Schedule, MCConfig{Trials: 100, Cycles: 40}, rand.New(rand.NewSource(9)))
+	res, err := RunMonteCarlo(context.Background(), frozen(c), r.Schedule, MCConfig{Trials: 100, Cycles: 40}, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestMonteCarloSlackBeatsWorstCase(t *testing.T) {
 			staticWorst = s
 		}
 	}
-	res, err := RunMonteCarlo(c, sc, MCConfig{Trials: 60}, rand.New(rand.NewSource(4)))
+	res, err := RunMonteCarlo(context.Background(), frozen(c), sc, MCConfig{Trials: 60}, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestMonteCarloDetectsBrokenSchedule(t *testing.T) {
 	// sampling has no slack to hide in.
 	c := circuits.Example1(80) // MinDelay defaults to Delay
 	sc := core.SymmetricSchedule(2, 90, 0.5)
-	res, err := RunMonteCarlo(c, sc, MCConfig{Trials: 10}, rand.New(rand.NewSource(2)))
+	res, err := RunMonteCarlo(context.Background(), frozen(c), sc, MCConfig{Trials: 10}, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +99,14 @@ func TestMonteCarloDetectsBrokenSchedule(t *testing.T) {
 func TestMonteCarloValidation(t *testing.T) {
 	c := circuits.Example1(80)
 	sc := core.SymmetricSchedule(2, 200, 0.5)
-	if _, err := RunMonteCarlo(c, sc, MCConfig{}, nil); err == nil {
+	if _, err := RunMonteCarlo(context.Background(), frozen(c), sc, MCConfig{}, nil); err == nil {
 		t.Error("nil rng accepted")
 	}
-	if _, err := RunMonteCarlo(c, core.NewSchedule(3), MCConfig{}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := RunMonteCarlo(context.Background(), frozen(c), core.NewSchedule(3), MCConfig{}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("phase mismatch accepted")
+	}
+	if _, err := RunMonteCarlo(context.Background(), core.DelayOverlay{}, sc, MCConfig{}, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("zero overlay accepted")
 	}
 }
 
@@ -112,7 +116,7 @@ func TestMonteCarloGaAs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunMonteCarlo(c, r.Schedule, MCConfig{Trials: 20, Cycles: 24}, rand.New(rand.NewSource(3)))
+	res, err := RunMonteCarlo(context.Background(), frozen(c), r.Schedule, MCConfig{Trials: 20, Cycles: 24}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"mintc/internal/core"
 	"mintc/internal/obs"
@@ -83,43 +82,20 @@ func (cfg Config) withDefaults(c *core.Circuit) Config {
 	return cfg
 }
 
-// Run simulates the circuit under the given schedule.
-func Run(c *core.Circuit, sched *core.Schedule, cfg Config) (*Trace, error) {
-	return RunCtx(context.Background(), c, sched, cfg)
-}
-
-// RunCtx is Run with cancellation and observability: the context is
-// polled once per simulated cycle, and the cycle count is reported into
-// any obs recorder carried by the context.
-func RunCtx(ctx context.Context, c *core.Circuit, sched *core.Schedule, cfg Config) (*Trace, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, c, nil, nil, sched, cfg)
-}
-
-// RunOverlay simulates a frozen snapshot seen through a delay overlay.
-func RunOverlay(ov core.DelayOverlay, sched *core.Schedule, cfg Config) (*Trace, error) {
-	return RunOverlayCtx(context.Background(), ov, sched, cfg)
-}
-
-// RunOverlayCtx is RunCtx against a Compiled snapshot's overlay: the
-// snapshot's cached kernel and phase order are reused (zero compile
-// cost when the overlay has no edits), nothing is validated per call
-// (Freeze already did), and nothing shared is mutated — any number of
-// goroutines may simulate divergent overlays of one snapshot
-// concurrently.
-func RunOverlayCtx(ctx context.Context, ov core.DelayOverlay, sched *core.Schedule, cfg Config) (*Trace, error) {
+// Run simulates a frozen snapshot seen through a delay overlay under
+// the given schedule. The snapshot's cached kernel and phase order are
+// reused (zero compile cost when the overlay has no edits), nothing is
+// validated per call (Freeze already did), and nothing shared is
+// mutated — any number of goroutines may simulate divergent overlays
+// of one snapshot concurrently. The context is polled once per
+// simulated cycle, and the cycle count is reported into any obs
+// recorder carried by the context; on cancellation the truncated
+// trace is returned alongside ctx.Err().
+func Run(ctx context.Context, ov core.DelayOverlay, sched *core.Schedule, cfg Config) (*Trace, error) {
 	if !ov.Valid() {
-		return nil, fmt.Errorf("sim: RunOverlay on a zero DelayOverlay (start from Compiled.Overlay)")
+		return nil, fmt.Errorf("sim: Run on a zero DelayOverlay (start from Compiled.Overlay)")
 	}
-	return runCtx(ctx, ov.Base().Circuit(), ov.Kernel(core.Options{}), ov.Base().PhaseOrder(), sched, cfg)
-}
-
-// runCtx is the simulation loop shared by the circuit and overlay
-// entry points. kn and order may be nil (compiled/derived here); when
-// given, they must correspond to c and a zero-margin Options.
-func runCtx(ctx context.Context, c *core.Circuit, kn *core.Kernel, order []int, sched *core.Schedule, cfg Config) (*Trace, error) {
+	c := ov.Base().Circuit()
 	if sched.K() != c.K() {
 		return nil, fmt.Errorf("sim: schedule has %d phases, circuit has %d", sched.K(), c.K())
 	}
@@ -127,6 +103,16 @@ func runCtx(ctx context.Context, c *core.Circuit, kn *core.Kernel, order []int, 
 	if len(cfg.InitialD) != c.L() {
 		return nil, fmt.Errorf("sim: InitialD has %d entries, want %d", len(cfg.InitialD), c.L())
 	}
+	// The simulator works in absolute time, so the compiled kernel is
+	// used without a shift table; the pre-folded arc weight W is the
+	// same ArcWeight the static analyses use (margins don't apply to a
+	// concrete simulation, hence the zero Options).
+	kn := ov.Kernel(core.Options{})
+	// Within a cycle, data flows from lower-numbered phases to strictly
+	// higher-numbered ones (same-phase and backward paths pair with the
+	// previous cycle's token), so evaluating synchronizers in phase
+	// order resolves all same-cycle dependencies.
+	order := ov.Base().PhaseOrder()
 
 	l := c.L()
 	tr := &Trace{ConvergedAt: -1}
@@ -140,28 +126,7 @@ func runCtx(ctx context.Context, c *core.Circuit, kn *core.Kernel, order []int, 
 		return sched.S[c.Sync(i).Phase] + float64(n)*sched.Tc
 	}
 
-	// Within a cycle, data flows from lower-numbered phases to strictly
-	// higher-numbered ones (same-phase and backward paths pair with the
-	// previous cycle's token), so evaluating synchronizers in phase
-	// order resolves all same-cycle dependencies.
-	if order == nil {
-		order = make([]int, l)
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return c.Sync(order[a]).Phase < c.Sync(order[b]).Phase
-		})
-	}
-
 	rec := obs.From(ctx)
-	// The simulator works in absolute time, so the compiled kernel is
-	// used without a shift table; the pre-folded arc weight W is the
-	// same ArcWeight the static analyses use (margins don't apply to a
-	// concrete simulation, hence the zero Options).
-	if kn == nil {
-		kn = core.CompileKernel(c, core.Options{})
-	}
 
 	for n := 0; n < cfg.Cycles; n++ {
 		// The trace grows one cycle at a time (rather than being sized

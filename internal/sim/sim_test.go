@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -22,7 +23,7 @@ func TestSimConvergesToStaticAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := Run(c, r.Schedule, Config{})
+		tr, err := Run(context.Background(), frozen(c), r.Schedule, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestSimDetectsSetupViolation(t *testing.T) {
 	sc.Tc = 100
 	sc.S = []float64{0, 50}
 	sc.T = []float64{50, 50}
-	tr, err := Run(c, sc, Config{})
+	tr, err := Run(context.Background(), frozen(c), sc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestSimUnstableLoopDrifts(t *testing.T) {
 	sc.Tc = 40
 	sc.S = []float64{0, 20}
 	sc.T = []float64{20, 20}
-	tr, err := Run(c, sc, Config{Cycles: 50})
+	tr, err := Run(context.Background(), frozen(c), sc, Config{Cycles: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestSimFFLaunchesAtEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Run(c, r.Schedule, Config{})
+	tr, err := Run(context.Background(), frozen(c), r.Schedule, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +126,11 @@ func TestSimPerturbedStartConverges(t *testing.T) {
 		sc.S[i] *= f
 		sc.T[i] *= f
 	}
-	cold, err := Run(c, sc, Config{})
+	cold, err := Run(context.Background(), frozen(c), sc, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, err := Run(c, sc, Config{InitialD: []float64{30, 25, 20, 15}})
+	hot, err := Run(context.Background(), frozen(c), sc, Config{InitialD: []float64{30, 25, 20, 15}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestSimMatchesCheckTcOnRandomCircuits(t *testing.T) {
 		if err != nil || !an.Feasible {
 			continue
 		}
-		tr, err := Run(c, r.Schedule, Config{Cycles: 128})
+		tr, err := Run(context.Background(), frozen(c), r.Schedule, Config{Cycles: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,16 +181,26 @@ func TestSimMatchesCheckTcOnRandomCircuits(t *testing.T) {
 
 func TestSimValidatesInput(t *testing.T) {
 	c := circuits.Example1(80)
-	if _, err := Run(c, core.NewSchedule(3), Config{}); err == nil {
+	if _, err := Run(context.Background(), frozen(c), core.NewSchedule(3), Config{}); err == nil {
 		t.Error("phase-count mismatch accepted")
 	}
-	if _, err := Run(c, core.SymmetricSchedule(2, 100, 0.5), Config{InitialD: []float64{1}}); err == nil {
+	if _, err := Run(context.Background(), frozen(c), core.SymmetricSchedule(2, 100, 0.5), Config{InitialD: []float64{1}}); err == nil {
 		t.Error("short InitialD accepted")
 	}
-	if _, err := Run(core.NewCircuit(1), core.SymmetricSchedule(1, 10, 0.5), Config{}); err == nil {
-		t.Error("invalid circuit accepted")
+	// An invalid circuit never reaches the simulator: Freeze rejects it,
+	// and the zero overlay that is all a failed Freeze leaves is
+	// rejected by Run.
+	if _, err := core.NewCircuit(1).Freeze(); err == nil {
+		t.Error("invalid circuit froze")
+	}
+	if _, err := Run(context.Background(), core.DelayOverlay{}, core.SymmetricSchedule(1, 10, 0.5), Config{}); err == nil {
+		t.Error("zero overlay accepted")
 	}
 }
+
+// frozen freezes c and returns the snapshot's empty overlay, the input
+// the simulation entry points take.
+func frozen(c *core.Circuit) core.DelayOverlay { return c.MustFreeze().Overlay() }
 
 func TestGaAsSimulation(t *testing.T) {
 	c := circuits.GaAsMIPS()
@@ -197,7 +208,7 @@ func TestGaAsSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Run(c, r.Schedule, Config{Cycles: 96})
+	tr, err := Run(context.Background(), frozen(c), r.Schedule, Config{Cycles: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +226,7 @@ func TestGaAsSimulation(t *testing.T) {
 		sc.S[i] *= f
 		sc.T[i] *= f
 	}
-	tr, err = Run(c, sc, Config{Cycles: 96})
+	tr, err = Run(context.Background(), frozen(c), sc, Config{Cycles: 96})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +261,11 @@ func BenchmarkSimGaAs64Cycles(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ov := frozen(c)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(c, r.Schedule, Config{}); err != nil {
+		if _, err := Run(context.Background(), ov, r.Schedule, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,7 +277,7 @@ func TestWriteCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Run(c, r.Schedule, Config{Cycles: 4})
+	tr, err := Run(context.Background(), frozen(c), r.Schedule, Config{Cycles: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,14 +125,6 @@ func SymmetricSchedule(k int, tc, duty float64) *Schedule {
 // time, optimal clock schedule, and the supporting departure times.
 func MinTc(c *Circuit, opts Options) (*Result, error) { return core.MinTc(c, opts) }
 
-// MinTcCtx is MinTc with cancellation: the context's deadline and
-// cancellation are honored inside the simplex pivot loop and the
-// departure-slide iteration, returning ctx.Err() promptly on abort.
-// Result.Stats reports solve counters and stage timings.
-func MinTcCtx(ctx context.Context, c *Circuit, opts Options) (*Result, error) {
-	return core.MinTcCtx(ctx, c, opts)
-}
-
 // CheckTc solves the analysis problem: verify a circuit against a
 // fixed clock schedule, reporting slacks and violations.
 func CheckTc(c *Circuit, sched *Schedule, opts Options) (*Analysis, error) {
@@ -149,12 +141,6 @@ type MCRResult = mcr.Result
 // cross-check and as the faster engine on large circuits.
 func MinTcMCR(c *Circuit, opts Options) (*MCRResult, error) { return mcr.Solve(c, opts) }
 
-// MinTcMCRCtx is MinTcMCR with cancellation inside every Bellman–Ford
-// pass and the witness-jumping loop.
-func MinTcMCRCtx(ctx context.Context, c *Circuit, opts Options) (*MCRResult, error) {
-	return mcr.SolveCtx(ctx, c, opts)
-}
-
 // EdgeTriggeredResult is the outcome of the edge-triggered baseline.
 type EdgeTriggeredResult = ettf.Result
 
@@ -165,12 +151,6 @@ func MinTcEdgeTriggered(c *Circuit, opts Options) (*EdgeTriggeredResult, error) 
 	return ettf.MinTc(c, opts)
 }
 
-// MinTcEdgeTriggeredCtx is MinTcEdgeTriggered with cancellation inside
-// the simplex pivot loop.
-func MinTcEdgeTriggeredCtx(ctx context.Context, c *Circuit, opts Options) (*EdgeTriggeredResult, error) {
-	return ettf.MinTcCtx(ctx, c, opts)
-}
-
 // NRIPResult is the outcome of the NRIP baseline reconstruction.
 type NRIPResult = nrip.Result
 
@@ -178,12 +158,6 @@ type NRIPResult = nrip.Result
 // heuristic (edge-triggered schedule shape plus one borrowing pass),
 // the baseline of the paper's Figs. 6, 7 and 9.
 func MinTcNRIP(c *Circuit, opts Options) (*NRIPResult, error) { return nrip.MinTc(c, opts) }
-
-// MinTcNRIPCtx is MinTcNRIP with cancellation inside the
-// edge-triggered LP solve and between borrowing probes.
-func MinTcNRIPCtx(ctx context.Context, c *Circuit, opts Options) (*NRIPResult, error) {
-	return nrip.MinTcCtx(ctx, c, opts)
-}
 
 // FrequencySearchResult is the outcome of the Agrawal-style search.
 type FrequencySearchResult = agrawal.Result
@@ -417,14 +391,11 @@ type MCResult = sim.MCResult
 // schedule passing the worst-case static analysis never fails here;
 // the result reports the observed slack distribution.
 func SimulateMonteCarlo(c *Circuit, sched *Schedule, cfg MCConfig, rng *rand.Rand) (*MCResult, error) {
-	return sim.RunMonteCarlo(c, sched, cfg, rng)
-}
-
-// SimulateMonteCarloCtx is SimulateMonteCarlo with cancellation (polled
-// once per simulated cycle); on abort the trials completed so far are
-// returned alongside ctx.Err().
-func SimulateMonteCarloCtx(ctx context.Context, c *Circuit, sched *Schedule, cfg MCConfig, rng *rand.Rand) (*MCResult, error) {
-	return sim.RunMonteCarloCtx(ctx, c, sched, cfg, rng)
+	cc, err := c.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	return sim.RunMonteCarlo(context.Background(), cc.Overlay(), sched, cfg, rng)
 }
 
 // Gate-level front end: the decomposition step the paper assumes
@@ -469,13 +440,11 @@ type SimTrace = sim.Trace
 // under the given schedule, independently validating the static
 // analysis (the steady-state departures converge to CheckTc's D).
 func Simulate(c *Circuit, sched *Schedule, cfg SimConfig) (*SimTrace, error) {
-	return sim.Run(c, sched, cfg)
-}
-
-// SimulateCtx is Simulate with cancellation (polled once per simulated
-// cycle); on abort the truncated trace is returned alongside ctx.Err().
-func SimulateCtx(ctx context.Context, c *Circuit, sched *Schedule, cfg SimConfig) (*SimTrace, error) {
-	return sim.RunCtx(ctx, c, sched, cfg)
+	cc, err := c.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	return sim.Run(context.Background(), cc.Overlay(), sched, cfg)
 }
 
 // RepairSchedule finds the smallest uniform stretch of a schedule that
@@ -528,12 +497,13 @@ func NewTraceWriter(w io.Writer) TraceSink { return obs.NewWriterSink(w) }
 // Engines lists the available engine names, sorted.
 func Engines() []string { return engine.Names() }
 
-// SolveEngine runs the named engine on the circuit. The context's
-// deadline/cancellation is honored inside the engine's hot loops; the
-// returned EngineResult is non-nil even on error and carries the stats
-// of whatever progress was made.
-func SolveEngine(ctx context.Context, name string, c *Circuit, opts EngineOptions) (*EngineResult, error) {
-	return engine.Solve(ctx, name, c, opts)
+// SolveEngine runs the named engine against a frozen snapshot seen
+// through a delay overlay (Freeze a builder circuit once, then pass
+// Compiled.Overlay()). The context's deadline/cancellation is honored
+// inside the engine's hot loops; the returned EngineResult carries the
+// stats of whatever progress was made, also on error.
+func SolveEngine(ctx context.Context, name string, ov DelayOverlay, opts EngineOptions) (*EngineResult, error) {
+	return engine.Solve(ctx, name, ov, opts)
 }
 
 // Reliability layer: certified solves. SolveEngineCertified runs an
@@ -583,18 +553,13 @@ var (
 	ErrSingularBasis = lp.ErrSingularBasis
 )
 
-// SolveEngineCertified runs the named engine on the circuit under the
-// degradation supervisor: the result arrives with a passing
-// Certificate (EngineResult.Certificate) and the Trail of ladder rungs
-// tried, or the error explains every failed attempt. A zero
-// CertifyPolicy certifies at 1e-9 and walks the engine's full ladder.
-func SolveEngineCertified(ctx context.Context, name string, c *Circuit, opts EngineOptions, pol CertifyPolicy) (*EngineResult, error) {
-	return engine.SolveCertified(ctx, name, c, opts, pol)
-}
-
-// SolveEngineCertifiedOverlay is SolveEngineCertified against a
-// snapshot overlay.
-func SolveEngineCertifiedOverlay(ctx context.Context, name string, ov DelayOverlay, opts EngineOptions, pol CertifyPolicy) (*EngineResult, error) {
+// SolveEngineCertified runs the named engine against a snapshot
+// overlay under the degradation supervisor: the result arrives with a
+// passing Certificate (EngineResult.Certificate) and the Trail of
+// ladder rungs tried, or the error explains every failed attempt. A
+// zero CertifyPolicy certifies at 1e-9 and walks the engine's full
+// ladder.
+func SolveEngineCertified(ctx context.Context, name string, ov DelayOverlay, opts EngineOptions, pol CertifyPolicy) (*EngineResult, error) {
 	return engine.SolveCertifiedOverlay(ctx, name, ov, opts, pol)
 }
 
@@ -643,44 +608,20 @@ func MinTcOverlay(ov DelayOverlay, opts Options) (*Result, error) {
 	return core.MinTcOverlay(ov, opts)
 }
 
-// MinTcOverlayCtx is MinTcOverlay with cancellation.
-func MinTcOverlayCtx(ctx context.Context, ov DelayOverlay, opts Options) (*Result, error) {
-	return core.MinTcOverlayCtx(ctx, ov, opts)
-}
-
 // CheckTcOverlay solves the analysis problem for a frozen snapshot
 // seen through a delay overlay.
 func CheckTcOverlay(ov DelayOverlay, sched *Schedule, opts Options) (*Analysis, error) {
 	return core.CheckTcOverlay(ov, sched, opts)
 }
 
-// SolveEngineOverlay runs the named engine against a snapshot overlay:
-// overlay-native engines (mlp, sim) reuse the snapshot's caches, the
-// others solve the overlay's materialized circuit.
-func SolveEngineOverlay(ctx context.Context, name string, ov DelayOverlay, opts EngineOptions) (*EngineResult, error) {
-	return engine.SolveOverlay(ctx, name, ov, opts)
-}
-
-// SimulateOverlay runs the wavefront simulation against a snapshot
-// overlay.
-func SimulateOverlay(ov DelayOverlay, sched *Schedule, cfg SimConfig) (*SimTrace, error) {
-	return sim.RunOverlay(ov, sched, cfg)
-}
-
-// SimulateMonteCarloOverlay runs a Monte-Carlo campaign against a
-// snapshot overlay.
-func SimulateMonteCarloOverlay(ov DelayOverlay, sched *Schedule, cfg MCConfig, rng *rand.Rand) (*MCResult, error) {
-	return sim.RunMonteCarloOverlay(ov, sched, cfg, rng)
-}
-
 // Decomposed solving: the 100k-synchronizer-scale path. Freeze
 // partitions the latch graph into strongly connected components; the
 // decomposed solver ("decomp" engine, or "mlp" above its size
 // threshold) solves each component independently in parallel — closed
-// form for trivial components, warm-started LP or min-cycle-ratio for
-// the rest — and then certifies (or repairs) the combined bound with
-// one global coupling pass, so the answer matches the monolithic
-// engines to solver tolerance. A DecompState carries per-component
+// form for trivial components, min-cycle-ratio for the rest — and then
+// certifies (or repairs) the combined bound with one global coupling
+// pass, so the answer matches the monolithic engines to solver
+// tolerance. A DecompState carries per-component
 // answers keyed by content digest across solves, making repeat solves
 // after localized delay edits touch only the dirty components.
 type (
@@ -689,9 +630,6 @@ type (
 	// (component count, how many were actually re-solved, closed-form
 	// fast paths, per-component bounds).
 	DecompResult = decomp.Result
-	// DecompConfig tunes the decomposed solver (worker-pool bound). The
-	// zero value is the production default.
-	DecompConfig = decomp.Config
 	// DecompState is the reusable per-component answer cache. One state
 	// serves one (snapshot, options) pair; see NewDecompState.
 	DecompState = decomp.State
@@ -700,24 +638,10 @@ type (
 // NewDecompState returns an empty per-component answer cache. Use one
 // state per (Compiled snapshot, Options) pair — digests identify
 // components and their delay edits, not the snapshot or the options —
-// and pass it to every MinTcDecomposed call (or set
-// EngineOptions.DecompState) that should share incremental work. Safe
-// for concurrent use.
+// and set it as EngineOptions.DecompState on every "decomp" (or
+// large "mlp") solve that should share incremental work. Safe for
+// concurrent use.
 func NewDecompState() *DecompState { return decomp.NewState() }
-
-// MinTcDecomposed solves the design problem by SCC decomposition
-// against a snapshot overlay: the same optimal Tc as MinTc/MinTcMCR,
-// minutes faster past a few thousand latches, and incremental across
-// calls when st is reused. st may be nil (no caching).
-func MinTcDecomposed(ov DelayOverlay, opts Options, cfg DecompConfig, st *DecompState) (*DecompResult, error) {
-	return decomp.Solve(context.Background(), ov, opts, cfg, st)
-}
-
-// MinTcDecomposedCtx is MinTcDecomposed with cancellation inside the
-// per-component solves and the global coupling pass.
-func MinTcDecomposedCtx(ctx context.Context, ov DelayOverlay, opts Options, cfg DecompConfig, st *DecompState) (*DecompResult, error) {
-	return decomp.Solve(ctx, ov, opts, cfg, st)
-}
 
 // SweepDelays solves the design problem at each delay value for one
 // path of a frozen snapshot — the bulk counterpart of ParametricDelay,
@@ -729,7 +653,7 @@ func MinTcDecomposedCtx(ctx context.Context, ov DelayOverlay, opts Options, cfg 
 // (invalid delay, infeasible under a pinned FixedTc) carries its error
 // at its index. Only the min-Tc objective is supported.
 func SweepDelays(ctx context.Context, cc *Compiled, opts Options, pathIndex int, values []float64) ([]float64, []error) {
-	return decomp.Sweep(ctx, cc, opts, pathIndex, values, DecompConfig{}, nil)
+	return decomp.Sweep(ctx, cc, opts, pathIndex, values, decomp.Config{}, nil)
 }
 
 // NewSession opens an analysis session over a frozen snapshot. All

@@ -2,7 +2,9 @@ package mintc_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"time"
 
 	"mintc"
 	"mintc/internal/gen"
@@ -44,6 +46,35 @@ func TestStressLargeRing(t *testing.T) {
 	}
 	if len(tr.Violations) != 0 {
 		t.Fatalf("simulation violations: %d", len(tr.Violations))
+	}
+}
+
+// TestMonteCarloPhaseOrderScales guards the Monte-Carlo campaign
+// against a per-call phase ordering that is quadratic in the latch
+// count: one trial of one cycle on a 100k-latch ring must take
+// milliseconds, so 3 s leaves room for slow and race-instrumented
+// runs while still catching an O(L²) sort (seconds even uninstrumented).
+func TestMonteCarloPhaseOrderScales(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-latch workload")
+	}
+	c, err := gen.Ring(2, 100000, 1, 2, func(int) float64 { return 30 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Uniform two-phase ring: Tc* = 2*(DQ+delay) = 64.
+	sched := mintc.SymmetricSchedule(2, 64, 0.5)
+	start := time.Now()
+	mc, err := mintc.SimulateMonteCarlo(c, sched, mintc.MCConfig{Trials: 1, Cycles: 1, Workers: 1}, rand.New(rand.NewSource(1)))
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc.Trials != 1 {
+		t.Fatalf("completed %d trials, want 1", mc.Trials)
+	}
+	if elapsed > 3*time.Second {
+		t.Errorf("1-trial 1-cycle campaign on %d latches took %v, want < 3s", c.L(), elapsed)
 	}
 }
 
