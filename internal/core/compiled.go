@@ -14,9 +14,10 @@ import (
 // Freeze validates once and caches every derived artifact the solvers
 // would otherwise recompute per call — the phase-ordering matrix C, the
 // I/O phase-pair matrix K, the maximum fanin F and the simulation phase
-// order at Freeze; the SCC partition and the compiled Kernel (the CSR
+// order at Freeze; the SCC partition, the compiled Kernel (the CSR
 // fanin arc array with pre-folded weights, one per distinct margin
-// set) on first use. After Freeze nothing
+// set) and the design LP's template (one per options shape, see
+// lpTemplate) on first use. After Freeze nothing
 // reachable from the Compiled is ever mutated again, so any number of
 // goroutines may run MinTcOverlay, CheckTcOverlay, simulations and
 // engine solves against one shared snapshot with no cloning and no
@@ -52,6 +53,9 @@ type Compiled struct {
 	// bit-identical weights.
 	mu      sync.Mutex
 	kernels []kernelEntry
+	// lps caches one design-LP template per options shape (see
+	// lpTemplate), also guarded by mu; each entry builds once.
+	lps []*lpTemplate
 }
 
 type kernelEntry struct {

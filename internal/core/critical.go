@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -28,8 +29,11 @@ type CriticalSegment struct {
 // from an MLP result, sorted by decreasing |dual| (most critical
 // first). Only propagation and setup rows are reported by default;
 // pass all=true to include clock-structure rows too.
+//
+// The RHS intervals are ranged on demand for the reported rows only;
+// should that fail, RHSLow and RHSHigh are NaN.
 func (r *Result) CriticalSegments(all bool) []CriticalSegment {
-	var out []CriticalSegment
+	var binding []int
 	for i, info := range r.Rows {
 		if r.LPSol.Slack[i] != 0 || r.LPSol.Dual[i] == 0 {
 			continue
@@ -37,12 +41,18 @@ func (r *Result) CriticalSegments(all bool) []CriticalSegment {
 		if !all && info.Kind != RowPropagation && info.Kind != RowSetup && info.Kind != RowFFSetup {
 			continue
 		}
-		out = append(out, CriticalSegment{
-			Row:     info,
-			Dual:    r.LPSol.Dual[i],
-			RHSLow:  r.LPSol.RHSRange[i][0],
-			RHSHigh: r.LPSol.RHSRange[i][1],
-		})
+		binding = append(binding, i)
+	}
+	if len(binding) == 0 {
+		return nil
+	}
+	ranges, err := r.LPSol.RHSRange(binding...)
+	out := make([]CriticalSegment, len(binding))
+	for k, i := range binding {
+		out[k] = CriticalSegment{Row: r.Rows[i], Dual: r.LPSol.Dual[i], RHSLow: math.NaN(), RHSHigh: math.NaN()}
+		if err == nil {
+			out[k].RHSLow, out[k].RHSHigh = ranges[k][0], ranges[k][1]
+		}
 	}
 	sort.Slice(out, func(a, b int) bool {
 		da, db := abs(out[a].Dual), abs(out[b].Dual)

@@ -213,7 +213,12 @@ func minTcCtxWarm(ctx context.Context, c *Circuit, ov *DelayOverlay, opts Option
 		sol  *lp.Solution
 	)
 	err := rec.Phase(ctx, "lp", func(ctx context.Context) error {
-		prob, vm, rows = buildLPOv(c, ov, opts)
+		if ov != nil {
+			tpl := ov.base.lpTemplate(opts)
+			prob, vm, rows = tpl.instance(ov, opts), tpl.vm, tpl.rows
+		} else {
+			prob, vm, rows = buildLPOv(c, nil, opts)
+		}
 		rec.Add(obs.LPRows, int64(prob.NumConstraints()))
 		var serr error
 		sol, serr = lp.SolveCtxFrom(ctx, prob, warm)

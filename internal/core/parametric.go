@@ -58,6 +58,13 @@ func ParametricDelay(c *Circuit, opts Options, pathIndex int, from, to float64) 
 // derailing the slope/extent logic for no measurable saving, since the
 // whole walk costs segments-plus-degenerate-steps solves (three for
 // Example 1's Fig. 7 curve).
+//
+// Every probe edits the base snapshot, so a delay below the path's
+// MinDelay clamps MinDelay to it (DelayOverlay.With semantics). Under
+// DesignForHold that moves the path's hold row as well: below MinDelay
+// a segment is ranged along the two-row RHS direction and priced on
+// both rows, and it never extends past MinDelay, where the hold row
+// stops moving.
 func ParametricDelayCompiled(cc *Compiled, opts Options, pathIndex int, from, to float64) ([]DelaySegment, error) {
 	if pathIndex < 0 || pathIndex >= len(cc.c.Paths()) {
 		return nil, fmt.Errorf("core: path index %d out of range", pathIndex)
@@ -74,33 +81,47 @@ func ParametricDelayCompiled(cc *Compiled, opts Options, pathIndex int, from, to
 		maxSegments = 1000
 	)
 	var segs []DelaySegment
-	// Chained With calls compose the MinDelay clamp exactly like the
-	// sequential SetPathDelay walk this loop used to perform.
-	ov := cc.Overlay()
+	minDelay := cc.c.paths[pathIndex].MinDelay
 	cur := from
 	for len(segs) < maxSegments {
-		ov = ov.With(pathIndex, cur)
-		r, err := MinTcOverlayCtx(context.Background(), ov, opts)
+		r, err := MinTcOverlayCtx(context.Background(), cc.Overlay().With(pathIndex, cur), opts)
 		if err != nil {
 			return segs, fmt.Errorf("core: parametric solve at Δ=%g: %w", cur, err)
 		}
-		row, sign, err := delayRow(r, pathIndex)
+		row, sign, hold, err := r.pathRows(pathIndex)
 		if err != nil {
 			return segs, err
 		}
-		// dTc/dΔ = dual(row) · dRHS/dΔ.
-		slope := r.LPSol.Dual[row] * sign
-		// Validity range of the current basis in terms of Δ. The row's
-		// RHS moves 1:1 (sign-adjusted) with Δ.
-		rhsNow := r.LP.Constraint(row).RHS
-		rng := r.LPSol.RHSRange[row]
-		var hiDelta float64
-		if sign > 0 {
-			hiDelta = cur + (rng[1] - rhsNow)
+		sol := r.LPSol
+		var slope, hiDelta float64
+		limit := to
+		if hold >= 0 && cur < minDelay {
+			// MinDelay follows Δ: the delay row moves by sign and the
+			// hold row by −1 per unit of Δ, up to MinDelay.
+			_, hi, err := sol.RHSStepRange([]int{row, hold}, []float64{sign, -1})
+			if err != nil {
+				return segs, fmt.Errorf("core: parametric ranging at Δ=%g: %w", cur, err)
+			}
+			slope = sol.Dual[row]*sign - sol.Dual[hold]
+			hiDelta = cur + hi
+			limit = math.Min(to, minDelay)
 		} else {
-			hiDelta = cur + (rhsNow - rng[0])
+			// dTc/dΔ = dual(row) · dRHS/dΔ. Validity range of the
+			// current basis in terms of Δ: the row's RHS moves 1:1
+			// (sign-adjusted) with Δ.
+			rng, err := sol.RHSRange(row)
+			if err != nil {
+				return segs, fmt.Errorf("core: parametric ranging at Δ=%g: %w", cur, err)
+			}
+			slope = sol.Dual[row] * sign
+			rhsNow := r.LP.Constraint(row).RHS
+			if sign > 0 {
+				hiDelta = cur + (rng[0][1] - rhsNow)
+			} else {
+				hiDelta = cur + (rhsNow - rng[0][0])
+			}
 		}
-		end := math.Min(hiDelta, to)
+		end := math.Min(hiDelta, limit)
 		if end < cur {
 			end = cur
 		}
@@ -124,24 +145,6 @@ func ParametricDelayCompiled(cc *Compiled, opts Options, pathIndex int, from, to
 		cur = next
 	}
 	return segs, fmt.Errorf("core: parametric sweep exceeded %d segments", maxSegments)
-}
-
-// delayRow locates the LP row whose RHS carries the path's delay and
-// returns its index together with dRHS/dΔ (+1 for latch-destination
-// L2R rows, -1 for flip-flop setup rows, whose RHS is negated).
-func delayRow(r *Result, pathIndex int) (int, float64, error) {
-	for i, info := range r.Rows {
-		if info.Path != pathIndex {
-			continue
-		}
-		switch info.Kind {
-		case RowPropagation:
-			return i, 1, nil
-		case RowFFSetup:
-			return i, -1, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("core: no LP row carries path %d's delay", pathIndex)
 }
 
 // mergeSegments coalesces consecutive segments with equal slope

@@ -115,6 +115,14 @@ func (p *Problem) ClearObjective() {
 	}
 }
 
+// shape returns a header copy of p with every slice capped at its
+// current length: rows or variables appended to p afterwards land in
+// fresh backing arrays and never show through the copy.
+func (p *Problem) shape() Problem {
+	n, m := len(p.names), len(p.rows)
+	return Problem{names: p.names[:n:n], obj: p.obj[:n:n], rows: p.rows[:m:m]}
+}
+
 // NumConstraints returns the number of constraint rows added so far.
 func (p *Problem) NumConstraints() int { return len(p.rows) }
 
@@ -142,6 +150,30 @@ func (p *Problem) AddConstraint(name string, terms []Term, rel Rel, rhs float64)
 	copy(ts, terms)
 	p.rows = append(p.rows, Constraint{Name: name, Terms: ts, Rel: rel, RHS: rhs})
 	return len(p.rows) - 1
+}
+
+// Fork returns a copy of p that owns its row array and objective but
+// shares everything else — variable names and each row's name and
+// terms — read-only with p. SetRHS and SetObjCoef on the fork never
+// reach p, and neither do rows or variables appended to it: the shared
+// name slice is capped at its length, so an append reallocates. This
+// is how one built program serves many solves that differ only in RHS
+// values (what-if delay edits) without rebuilding its rows.
+func (p *Problem) Fork() *Problem {
+	n := len(p.names)
+	return &Problem{
+		names: p.names[:n:n],
+		obj:   append([]float64(nil), p.obj...),
+		rows:  append([]Constraint(nil), p.rows...),
+	}
+}
+
+// SetRHS overrides row i's right-hand side.
+func (p *Problem) SetRHS(i int, rhs float64) {
+	if i < 0 || i >= len(p.rows) {
+		panic(fmt.Sprintf("lp: SetRHS row %d out of range", i))
+	}
+	p.rows[i].RHS = rhs
 }
 
 // String renders the program in a human-readable form (for debugging
@@ -243,12 +275,6 @@ type Solution struct {
 	Slack []float64
 	// Pivots counts simplex pivot operations across both phases.
 	Pivots int
-	// RHSRange[i] is the closed interval of values for constraint i's
-	// RHS over which the final basis stays optimal; within it the
-	// objective changes at rate Dual[i] per unit of RHS. This is the
-	// classic RHS ranging used for the paper's proposed parametric
-	// (critical-segment) analysis. Bounds may be ±Inf.
-	RHSRange [][2]float64
 	// Stats describes the work the solve performed (revised solver
 	// only; the dense oracle leaves it zero). The lp package is a
 	// generic substrate with no observability dependencies, so callers
@@ -269,6 +295,12 @@ type Solution struct {
 	// basis is the optimal basis in the canonical column encoding (see
 	// Basis); nil on non-optimal outcomes.
 	basis []int32
+	// prob is the solved problem's shape (see Problem.shape): what
+	// RHSRange re-assembles to refactorize basis on demand.
+	prob Problem
+	// ranges holds the dense oracle's per-row RHS ranges, read off its
+	// final tableau; nil for revised solves, which range on demand.
+	ranges [][2]float64
 }
 
 // SolveStats is the work profile of one revised-simplex solve: sparse
@@ -914,14 +946,15 @@ func (t *tableau) extract(p *Problem) *Solution {
 		enc[i] = t.encodeCol(t.basis[i])
 	}
 	return &Solution{
-		Status:   Optimal,
-		Obj:      objVal,
-		X:        x,
-		Dual:     dual,
-		Slack:    clampSlacks(rowSlacks(p, x)),
-		Pivots:   t.pivots,
-		RHSRange: t.rhsRanges(p),
-		basis:    enc,
+		Status: Optimal,
+		Obj:    objVal,
+		X:      x,
+		Dual:   dual,
+		Slack:  clampSlacks(rowSlacks(p, x)),
+		Pivots: t.pivots,
+		basis:  enc,
+		prob:   p.shape(),
+		ranges: t.rhsRanges(p),
 	}
 }
 

@@ -209,7 +209,11 @@ func TestRHSRanging(t *testing.T) {
 	lb := p.AddConstraint("lb", []Term{{x, 1}}, GE, 4)
 	p.AddConstraint("ub", []Term{{x, 1}}, LE, 10)
 	s := solveOK(t, &p)
-	r := s.RHSRange[lb]
+	rng, err := s.RHSRange(lb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng[0]
 	if r[0] > tol || !approx(r[1], 10) {
 		t.Errorf("RHSRange[lb] = %v, want [<=0, 10]", r)
 	}

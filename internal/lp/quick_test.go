@@ -103,9 +103,17 @@ func TestQuickRHSRangeContainsRHS(t *testing.T) {
 		if err != nil || s.Status != Optimal {
 			return true
 		}
-		for i := 0; i < p.NumConstraints(); i++ {
-			r := p.Constraint(i).RHS
-			if s.RHSRange[i][0] > r+1e-6 || s.RHSRange[i][1] < r-1e-6 {
+		rows := make([]int, p.NumConstraints())
+		for i := range rows {
+			rows[i] = i
+		}
+		rng, err := s.RHSRange(rows...)
+		if err != nil {
+			return false
+		}
+		for i, row := range rows {
+			r := p.Constraint(row).RHS
+			if rng[i][0] > r+1e-6 || rng[i][1] < r-1e-6 {
 				return false
 			}
 		}

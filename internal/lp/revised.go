@@ -135,7 +135,7 @@ func (r *revised) run(ctx context.Context, p *Problem, warm *Basis) (*Solution, 
 	if unbounded {
 		return &Solution{Status: Unbounded, Pivots: r.pivots}, nil
 	}
-	return r.extract(ctx, p)
+	return r.extract(p)
 }
 
 // coldBasis installs the initial slack/artificial basis and factorizes
@@ -376,8 +376,10 @@ func (r *revised) driveOutArtificials(ctx context.Context) error {
 
 // extract finalizes the optimal solution: one last refactorization
 // sheds the eta file's accumulated roundoff, then primal values, duals,
-// slacks, ranging and the canonical basis are read out.
-func (r *revised) extract(ctx context.Context, p *Problem) (*Solution, error) {
+// slacks and the canonical basis are read out. RHS ranging is left to
+// Solution.RHSRange, which rebuilds exactly this factorization on
+// demand.
+func (r *revised) extract(p *Problem) (*Solution, error) {
 	st := r.st
 	if r.lu.nEtas() > 0 {
 		if err := r.refactor(); err != nil {
@@ -414,59 +416,16 @@ func (r *revised) extract(ctx context.Context, p *Problem) (*Solution, error) {
 		dual[i] = d
 	}
 
-	ranges, err := r.rhsRanges(ctx, p)
-	if err != nil {
-		return &Solution{Pivots: r.pivots}, err
-	}
-
 	enc := make([]int32, st.m)
 	copy(enc, r.basis)
 	return &Solution{
-		Status:   Optimal,
-		Obj:      objVal,
-		X:        x,
-		Dual:     dual,
-		Slack:    clampSlacks(rowSlacks(p, x)),
-		Pivots:   r.pivots,
-		RHSRange: ranges,
-		basis:    enc,
+		Status: Optimal,
+		Obj:    objVal,
+		X:      x,
+		Dual:   dual,
+		Slack:  clampSlacks(rowSlacks(p, x)),
+		Pivots: r.pivots,
+		basis:  enc,
+		prob:   p.shape(),
 	}, nil
-}
-
-// rhsRanges computes per-row RHS ranging intervals with one FTRAN of
-// the row's unit vector each: d = B^-1 e_r gives the sensitivity of
-// every basic value to that RHS, and the basis stays optimal while all
-// basic values stay nonnegative. Matches the dense oracle's formula.
-func (r *revised) rhsRanges(ctx context.Context, p *Problem) ([][2]float64, error) {
-	st := r.st
-	ranges := make([][2]float64, st.m)
-	for row := 0; row < st.m; row++ {
-		if row&127 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		r.v[row] = 1
-		r.lu.ftran(r.v, r.w)
-		lo, hi := math.Inf(-1), math.Inf(1)
-		for i := 0; i < st.m; i++ {
-			d := r.w[i] * st.rowSign[row] // d(xB[i]) / d(original RHS_row)
-			if math.Abs(d) < 1e-12 {
-				continue
-			}
-			bound := -r.xB[i] / d
-			if d > 0 {
-				if bound > lo {
-					lo = bound
-				}
-			} else {
-				if bound < hi {
-					hi = bound
-				}
-			}
-		}
-		base := p.rows[row].RHS
-		ranges[row] = [2]float64{base + lo, base + hi}
-	}
-	return ranges, nil
 }

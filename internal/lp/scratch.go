@@ -19,9 +19,9 @@ package lp
 //   - stateful (where maps, stamp workspaces, visited marks, pricer
 //     candidates): explicitly reset to their freshly-made value.
 //
-// Escaping outputs (Solution.X/Dual/Slack/RHSRange, basis encodings,
-// Farkas rays) are always freshly allocated; nothing handed to a
-// caller aliases arena memory.
+// Escaping outputs (Solution.X/Dual/Slack, RHSRange intervals, basis
+// encodings, Farkas rays) are always freshly allocated; nothing handed
+// to a caller aliases arena memory.
 
 // rowEnt is one accumulated (row, col, coef) entry produced by
 // assembly pass 1 (moved to package scope so the arena can pool the

@@ -80,9 +80,21 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 				continue
 			}
 			sameSolution(t, "reuse", sol, first[pi])
-			for i := range first[pi].RHSRange {
-				if sol.RHSRange[i] != first[pi].RHSRange[i] {
-					t.Fatalf("RHSRange[%d] = %v, want %v", i, sol.RHSRange[i], first[pi].RHSRange[i])
+			rows := make([]int, p.NumConstraints())
+			for i := range rows {
+				rows[i] = i
+			}
+			got, err := sol.RHSRange(rows...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := first[pi].RHSRange(rows...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("RHSRange[%d] = %v, want %v", i, got[i], want[i])
 				}
 			}
 			if sol.Stats.ScratchReused {

@@ -149,7 +149,7 @@ func (r *revised) warmRun(ctx context.Context, p *Problem, warm *Basis) (sol *So
 	if unbounded {
 		return &Solution{Status: Unbounded, Pivots: r.pivots}, true, nil
 	}
-	sol, err = r.extract(ctx, p)
+	sol, err = r.extract(p)
 	return sol, true, err
 }
 
