@@ -17,7 +17,6 @@ import (
 	"mintc"
 	"mintc/internal/circuits"
 	"mintc/internal/core"
-	"mintc/internal/ettf"
 	"mintc/internal/experiments"
 	"mintc/internal/gen"
 	"mintc/internal/mcr"
@@ -110,7 +109,7 @@ func BenchmarkFig9Example2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nr, err := nrip.MinTc(c, core.Options{})
+		nr, err := mintc.MinTcNRIP(c, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,26 +264,6 @@ func BenchmarkAblationEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMCRExactVsBinary compares witness-jumping against
-// plain bisection inside the min-cycle-ratio engine.
-func BenchmarkAblationMCRExactVsBinary(b *testing.B) {
-	c := circuits.GaAsMIPS()
-	b.Run("witness", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mcr.Solve(c, core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mcr.SolveBinary(c, core.Options{}, 1e-7); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationBaselines times the two baselines next to the
 // optimal engine on Example 2.
 func BenchmarkAblationBaselines(b *testing.B) {
@@ -298,14 +277,14 @@ func BenchmarkAblationBaselines(b *testing.B) {
 	})
 	b.Run("nrip", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := nrip.MinTc(c, core.Options{}); err != nil {
+			if _, err := mintc.MinTcNRIP(c, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("ettf", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ettf.MinTc(c, core.Options{}); err != nil {
+			if _, err := mintc.MinTcEdgeTriggered(c, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -144,12 +144,12 @@ func TestFacadeMCRSolverAndReoptimize(t *testing.T) {
 		t.Errorf("solver Tc = %g, want 140", r.Tc)
 	}
 
-	c2 := mintc.PaperExample1(50)
-	base, err := mintc.MinTc(c2, mintc.Options{})
+	cc, err := mintc.Freeze(mintc.PaperExample1(50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, _, err := base.Reoptimize(3, 60)
+	sess := mintc.NewSession(cc, mintc.SessionConfig{})
+	tc, _, err := sess.Reoptimize(context.Background(), cc.Overlay(), 3, 60, mintc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,28 +38,30 @@ type Result struct {
 // setup time).
 var ErrInfeasible = errors.New("agrawal: no feasible cycle time for the fixed clock shape")
 
-// MinTc runs the bounded binary search. duty is the fraction of each
-// phase slot that is active (0 < duty <= 1); tol is the absolute
-// search tolerance (default 1e-6 of the upper bound).
-func MinTc(c *core.Circuit, duty, tol float64) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
+// MinTc runs the bounded binary search on the snapshot behind ov, every
+// probe an exact analysis of the overlay (core.CheckTcOverlay). duty is
+// the fraction of each phase slot that is active (0 < duty <= 1); tol
+// is the absolute search tolerance (default 1e-9 of the upper bound).
+func MinTc(ov core.DelayOverlay, duty, tol float64) (*Result, error) {
+	if !ov.Valid() {
+		return nil, errors.New("agrawal: search on a zero DelayOverlay (start from Circuit.Freeze)")
 	}
 	if duty <= 0 || duty > 1 {
 		return nil, fmt.Errorf("agrawal: duty factor %g outside (0,1]", duty)
 	}
+	c := ov.Base().Circuit()
 	res := &Result{}
 	feasible := func(tc float64) bool {
 		res.Probes++
-		an, err := core.CheckTc(c, core.SymmetricSchedule(c.K(), tc, duty), core.Options{})
+		an, err := core.CheckTcOverlay(ov, core.SymmetricSchedule(c.K(), tc, duty), core.Options{})
 		return err == nil && an.Feasible
 	}
 
 	// Upper bound: the total delay in the circuit is always enough for
 	// one cycle of a k-phase clock once every stage fits in a slot.
 	hi := 1.0
-	for _, p := range c.Paths() {
-		hi += p.Delay
+	for pidx := range c.Paths() {
+		hi += ov.Delay(pidx)
 	}
 	for _, s := range c.Syncs() {
 		hi += s.Setup + s.DQ

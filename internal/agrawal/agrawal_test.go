@@ -12,7 +12,7 @@ import (
 func TestUpperBoundsOptimal(t *testing.T) {
 	for d41 := 0.0; d41 <= 140; d41 += 20 {
 		c := circuits.Example1(d41)
-		r, err := MinTc(c, 0.5, 1e-7)
+		r, err := minTc(c, 0.5, 1e-7)
 		if err != nil {
 			t.Fatalf("Δ41=%g: %v", d41, err)
 		}
@@ -41,11 +41,11 @@ func TestDutyFactorMatters(t *testing.T) {
 	// fixed-shape search should do no worse with duty 0.5 -> 0.9 on
 	// Example 1 (wider phases help borrowing there).
 	c := circuits.Example1(80)
-	narrow, err := MinTc(c, 0.3, 1e-7)
+	narrow, err := minTc(c, 0.3, 1e-7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := MinTc(c, 0.9, 1e-7)
+	wide, err := minTc(c, 0.9, 1e-7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestGapVersusLP(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		r, err := MinTc(c, 0.5, 1e-7)
+		r, err := minTc(c, 0.5, 1e-7)
 		if err != nil {
 			continue
 		}
@@ -88,20 +88,20 @@ func TestGapVersusLP(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	c := circuits.Example1(80)
-	if _, err := MinTc(c, 0, 1e-6); err == nil {
+	if _, err := minTc(c, 0, 1e-6); err == nil {
 		t.Error("zero duty accepted")
 	}
-	if _, err := MinTc(c, 1.5, 1e-6); err == nil {
+	if _, err := minTc(c, 1.5, 1e-6); err == nil {
 		t.Error("duty > 1 accepted")
 	}
-	if _, err := MinTc(core.NewCircuit(1), 0.5, 1e-6); err == nil {
+	if _, err := minTc(core.NewCircuit(1), 0.5, 1e-6); err == nil {
 		t.Error("invalid circuit accepted")
 	}
 }
 
 func TestProbesBounded(t *testing.T) {
 	c := circuits.GaAsMIPS()
-	r, err := MinTc(c, 0.45, 1e-6)
+	r, err := minTc(c, 0.45, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,4 +111,13 @@ func TestProbesBounded(t *testing.T) {
 	if r.Tc < 4.4-1e-6 {
 		t.Errorf("GaAs fixed-shape Tc %g below the true optimum 4.4", r.Tc)
 	}
+}
+
+// minTc freezes c and searches its empty overlay.
+func minTc(c *core.Circuit, duty, tol float64) (*Result, error) {
+	cc, err := c.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	return MinTc(cc.Overlay(), duty, tol)
 }

@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -189,7 +190,7 @@ func TestExample2NRIPGapAbout35Percent(t *testing.T) {
 	if math.Abs(r.Schedule.Tc-Example2OptimalTc) > 1e-6 {
 		t.Fatalf("Example2 Tc = %g, want %g", r.Schedule.Tc, Example2OptimalTc)
 	}
-	nr, err := nrip.MinTc(c, core.Options{})
+	nr, err := nrip.MinTcCtx(context.Background(), c.MustFreeze().Overlay(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

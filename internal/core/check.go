@@ -50,11 +50,16 @@ type Analysis struct {
 // fixpoint of the propagation constraints L2, computed exactly as a
 // longest-path problem on a constraint graph; cyclic dependencies are
 // handled natively (no unrolling).
+//
+// The circuit is frozen first and checked through its empty overlay;
+// callers that check one circuit repeatedly freeze once and call
+// CheckTcOverlay.
 func CheckTc(c *Circuit, sched *Schedule, opts Options) (*Analysis, error) {
-	if err := c.Validate(); err != nil {
+	cc, err := c.Freeze()
+	if err != nil {
 		return nil, err
 	}
-	return checkTc(c, nil, sched, opts)
+	return CheckTcOverlay(cc.Overlay(), sched, opts)
 }
 
 // CheckTcOverlay is CheckTc against a frozen snapshot seen through a
@@ -67,10 +72,7 @@ func CheckTcOverlay(ov DelayOverlay, sched *Schedule, opts Options) (*Analysis, 
 	if !ov.Valid() {
 		return nil, fmt.Errorf("core: CheckTcOverlay on a zero DelayOverlay (start from Compiled.Overlay)")
 	}
-	return checkTc(ov.base.c, &ov, sched, opts)
-}
-
-func checkTc(c *Circuit, ov *DelayOverlay, sched *Schedule, opts Options) (*Analysis, error) {
+	c := ov.base.c
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -85,41 +87,19 @@ func checkTc(c *Circuit, ov *DelayOverlay, sched *Schedule, opts Options) (*Anal
 		an.Feasible = false
 	}
 
-	// Least fixpoint of D_i = max(0, max_j (D_j + ΔDQ_j + Δ_ji + S)):
-	// longest paths from a super-source z (the 0 floor) in a graph
-	// whose nodes are synchronizers. Flip-flops are pinned to 0 by
-	// giving them no incoming edges.
-	l := c.L()
-	g := graph.New(l + 1)
-	z := l
-	for i := 0; i < l; i++ {
-		g.AddEdge(z, i, 0) // D_i >= 0 floor
-	}
 	// Edge weights carry the same skew margins as the LP's L2R rows —
 	// the kernel pre-folds the same ArcWeight shared with BuildLP and
 	// the MLP slide — so analysis and design agree exactly under
 	// Options.Skew/PhaseSkew.
-	kn := kernelFor(c, ov, opts)
+	kn := ov.Kernel(opts)
 	sc := kn.getSlide()
 	defer kn.putSlide(sc)
 	sc.shift = kn.ShiftTable(sched, sc.shift)
 	shift := sc.shift
-	for i := 0; i < l; i++ {
-		if kn.FF[i] {
-			continue // FF departure is independent of arrivals
-		}
-		for a := kn.Start[i]; a < kn.Start[i+1]; a++ {
-			g.AddEdge(int(kn.Src[a]), i, kn.W[a]+shift[kn.PP[a]])
-		}
-	}
-	res := g.LongestPathsFrom(z)
-	if res.PositiveCycle != nil {
+	d, loop := leastFixpoint(kn, shift)
+	if d == nil {
 		an.Feasible = false
-		for _, v := range res.PositiveCycle {
-			if v != z {
-				an.PositiveLoop = append(an.PositiveLoop, v)
-			}
-		}
+		an.PositiveLoop = loop
 		an.Violations = append(an.Violations, Violation{
 			Kind: "unstable", Sync: -1,
 			Detail: fmt.Sprintf("loop %v gains delay every cycle at this schedule (no periodic steady state)", loopNames(c, an.PositiveLoop)),
@@ -127,11 +107,7 @@ func checkTc(c *Circuit, ov *DelayOverlay, sched *Schedule, opts Options) (*Anal
 		})
 		return an, nil
 	}
-
-	d := make([]float64, l)
-	for i := 0; i < l; i++ {
-		d[i] = res.Dist[i]
-	}
+	l := c.L()
 	an.D = d
 	an.A = make([]float64, l)
 	kn.ArriveAll(d, shift, an.A) // margin-adjusted, like the fixpoint
@@ -169,7 +145,7 @@ func checkTc(c *Circuit, ov *DelayOverlay, sched *Schedule, opts Options) (*Anal
 	}
 
 	// Hold checks (extension; enabled per synchronizer by Hold > 0).
-	an.HoldSlack = holdSlacks(c, ov, sched, opts)
+	an.HoldSlack = holdSlacks(ov, sched, opts)
 	for i, hs := range an.HoldSlack {
 		if !math.IsNaN(hs) && hs < -Eps {
 			an.Feasible = false
@@ -181,6 +157,43 @@ func checkTc(c *Circuit, ov *DelayOverlay, sched *Schedule, opts Options) (*Anal
 		}
 	}
 	return an, nil
+}
+
+// leastFixpoint computes the least fixpoint of the kernel's departure
+// operator D_i = max(0, max_j (D_j + ΔDQ_j + Δ_ji + S)) at the
+// schedule's shift table, exactly, as longest paths from a super-source
+// (the 0 floor) in a graph whose nodes are synchronizers; flip-flops
+// are pinned to 0 by giving them no incoming arcs. Cyclic dependencies
+// are handled natively (no unrolling). When a loop gains delay every
+// cycle there is no fixpoint: d is nil and loop names its
+// synchronizers.
+func leastFixpoint(kn *Kernel, shift []float64) (d []float64, loop []int) {
+	l := kn.L()
+	g := graph.New(l + 1)
+	z := l
+	for i := 0; i < l; i++ {
+		g.AddEdge(z, i, 0) // D_i >= 0 floor
+	}
+	for i := 0; i < l; i++ {
+		if kn.FF[i] {
+			continue // FF departure is independent of arrivals
+		}
+		for a := kn.Start[i]; a < kn.Start[i+1]; a++ {
+			g.AddEdge(int(kn.Src[a]), i, kn.W[a]+shift[kn.PP[a]])
+		}
+	}
+	res := g.LongestPathsFrom(z)
+	if res.PositiveCycle != nil {
+		for _, v := range res.PositiveCycle {
+			if v != z {
+				loop = append(loop, v)
+			}
+		}
+		return nil, loop
+	}
+	d = make([]float64, l)
+	copy(d, res.Dist[:l])
+	return d, nil
 }
 
 func loopNames(c *Circuit, loop []int) []string {
@@ -197,7 +210,8 @@ func loopNames(c *Circuit, loop []int) []string {
 // edge is T_{p_i}; for a flip-flop the capture happens at the phase
 // start (0 in local time). Entries are NaN for synchronizers with
 // Hold == 0 (check disabled) or no fanin.
-func holdSlacks(c *Circuit, ov *DelayOverlay, sched *Schedule, opts Options) []float64 {
+func holdSlacks(ov DelayOverlay, sched *Schedule, opts Options) []float64 {
+	c := ov.base.c
 	l := c.L()
 	out := make([]float64, l)
 	any := false
@@ -210,12 +224,12 @@ func holdSlacks(c *Circuit, ov *DelayOverlay, sched *Schedule, opts Options) []f
 	if !any {
 		return out
 	}
-	de := earliestDepartures(c, ov, sched)
+	de := earliestDepartures(ov, sched)
 	for i, s := range c.Syncs() {
 		if s.Hold == 0 || len(c.Fanin(i)) == 0 {
 			continue
 		}
-		ae := earliestArrivalOf(c, ov, sched, de, i)
+		ae := earliestArrivalOf(ov, sched, de, i)
 		closing := 0.0
 		if s.Kind == Latch {
 			closing = sched.T[s.Phase]
@@ -228,7 +242,8 @@ func holdSlacks(c *Circuit, ov *DelayOverlay, sched *Schedule, opts Options) []f
 // earliestDepartures computes the least fixpoint of the best-case
 // departure recursion d_i = max(0, min_j (d_j + ΔDQ_j + Δmin_ji + S)),
 // with flip-flops pinned at 0, by monotone iteration from below.
-func earliestDepartures(c *Circuit, ov *DelayOverlay, sched *Schedule) []float64 {
+func earliestDepartures(ov DelayOverlay, sched *Schedule) []float64 {
+	c := ov.base.c
 	l := c.L()
 	d := make([]float64, l)
 	limit := 2*l + 8
@@ -239,7 +254,7 @@ func earliestDepartures(c *Circuit, ov *DelayOverlay, sched *Schedule) []float64
 			if c.Sync(i).Kind == FlipFlop || len(c.Fanin(i)) == 0 {
 				nv = 0
 			} else {
-				nv = earliestArrivalOf(c, ov, sched, d, i)
+				nv = earliestArrivalOf(ov, sched, d, i)
 				if nv < 0 {
 					nv = 0
 				}
@@ -257,15 +272,15 @@ func earliestDepartures(c *Circuit, ov *DelayOverlay, sched *Schedule) []float64
 }
 
 // earliestArrivalOf is min over fanin of (d_j + ΔDQ_j + Δmin_ji + S),
-// with Δmin read through the optional overlay.
-func earliestArrivalOf(c *Circuit, ov *DelayOverlay, sched *Schedule, d []float64, i int) float64 {
+// with Δmin read through the overlay.
+func earliestArrivalOf(ov DelayOverlay, sched *Schedule, d []float64, i int) float64 {
+	c := ov.base.c
 	a := math.Inf(1)
 	pi := c.Sync(i).Phase
 	for _, pidx := range c.Fanin(i) {
 		p := c.Paths()[pidx]
 		j := p.From
-		_, minDelay := delayOf(c, ov, pidx)
-		v := d[j] + c.Sync(j).DQ + minDelay + sched.PhaseShift(c.Sync(j).Phase, pi)
+		v := d[j] + c.Sync(j).DQ + ov.MinDelay(pidx) + sched.PhaseShift(c.Sync(j).Phase, pi)
 		if v < a {
 			a = v
 		}

@@ -115,7 +115,9 @@ type Options struct {
 	// Update selects the departure-update strategy of Algorithm MLP's
 	// steps 3–5. The default is Jacobi, as in the paper's listing.
 	Update UpdateMode
-	// MaxUpdateIter caps the update iterations (0 means automatic).
+	// MaxUpdateIter caps the update iterations (0 means automatic); a
+	// slide that hits the cap finishes at the least fixpoint of the
+	// propagation operator.
 	MaxUpdateIter int
 }
 
@@ -183,30 +185,32 @@ func (o Options) Validate() error {
 
 // The three RHS formulas below are the only places a path's delay
 // enters the LP — always through the right-hand side, never a
-// coefficient. buildLPOv and the per-component builder both evaluate
-// them, so the two row generators cannot drift apart.
+// coefficient, and always read through the overlay. buildLP and the
+// snapshot's template instances both evaluate them, so the two row
+// generators cannot drift apart.
 
 // propagationRHS is the RHS of a latch-destination L2R row for path
 // pidx: the margin-adjusted arc weight ΔDQ_j + Δ_ji + margins.
-func propagationRHS(c *Circuit, ov *DelayOverlay, opts Options, pidx int) float64 {
-	return arcWeightOv(c, ov, opts, pidx)
+func propagationRHS(ov DelayOverlay, opts Options, pidx int) float64 {
+	return ov.ArcWeight(opts, pidx)
 }
 
 // ffSetupRHS is the RHS of a flip-flop-destination FFsu row for path
 // pidx: −(setup + arc weight), the latest arrival meeting setup before
 // the triggering edge.
-func ffSetupRHS(c *Circuit, ov *DelayOverlay, opts Options, pidx int) float64 {
-	return -(c.Sync(c.Paths()[pidx].To).Setup + arcWeightOv(c, ov, opts, pidx))
+func ffSetupRHS(ov DelayOverlay, opts Options, pidx int) float64 {
+	c := ov.base.c
+	return -(c.Sync(c.Paths()[pidx].To).Setup + ov.ArcWeight(opts, pidx))
 }
 
 // holdRHS is the RHS of a conservative hold row for path pidx (see
 // Options.DesignForHold): hold − ΔDQ_j − δmin + margins.
-func holdRHS(c *Circuit, ov *DelayOverlay, opts Options, pidx int) float64 {
+func holdRHS(ov DelayOverlay, opts Options, pidx int) float64 {
+	c := ov.base.c
 	path := c.Paths()[pidx]
 	j, i := path.From, path.To
 	pj, piph := c.Sync(j).Phase, c.Sync(i).Phase
-	_, minDelay := delayOf(c, ov, pidx)
-	return c.Sync(i).Hold - c.Sync(j).DQ - minDelay + opts.Skew + opts.sigma(pj) + opts.sigma(piph)
+	return c.Sync(i).Hold - c.Sync(j).DQ - ov.MinDelay(pidx) + opts.Skew + opts.sigma(pj) + opts.sigma(piph)
 }
 
 // cShift returns C_pq for 0-based phases: 1 when p >= q, else 0.
@@ -254,14 +258,15 @@ func (o Options) validatePhaseSkew(c *Circuit) error {
 //
 // The returned RowInfo slice parallels the LP's constraint rows.
 func BuildLP(c *Circuit, opts Options) (*lp.Problem, *VarMap, []RowInfo) {
-	return buildLPOv(c, nil, opts)
+	return buildLP(circuitView(c), opts)
 }
 
-// buildLPOv is BuildLP with path delays read through an optional
-// overlay (nil = the circuit's own delays). The generated rows are
-// bit-identical to BuildLP on a circuit carrying the overlay's
-// effective delays.
-func buildLPOv(c *Circuit, ov *DelayOverlay, opts Options) (*lp.Problem, *VarMap, []RowInfo) {
+// buildLP generates P2 over the overlay's base circuit with every path
+// delay read through the overlay. Solves never call it per overlay:
+// the snapshot's template (lpTemplate) builds it once from the empty
+// overlay and patches edited paths' RHS values.
+func buildLP(ov DelayOverlay, opts Options) (*lp.Problem, *VarMap, []RowInfo) {
+	c := ov.base.c
 	k := c.K()
 	l := c.L()
 	p := &lp.Problem{}
@@ -394,7 +399,7 @@ func buildLPOv(c *Circuit, ov *DelayOverlay, opts Options) (*lp.Problem, *VarMap
 					{Var: vm.S[pj], Coef: -1},
 					{Var: vm.S[piph], Coef: 1},
 					{Var: vm.Tc, Coef: cji},
-				}), lp.GE, propagationRHS(c, ov, opts, pi))
+				}), lp.GE, propagationRHS(ov, opts, pi))
 		case FlipFlop:
 			addRow(RowInfo{Kind: RowFFSetup, Phase: -1, Sync: i, Path: pi, Name: fmt.Sprintf("FFsu.%s->%s", c.SyncName(j), c.SyncName(i))},
 				setupSlack([]lp.Term{
@@ -402,7 +407,7 @@ func buildLPOv(c *Circuit, ov *DelayOverlay, opts Options) (*lp.Problem, *VarMap
 					{Var: vm.S[pj], Coef: 1},
 					{Var: vm.S[piph], Coef: -1},
 					{Var: vm.Tc, Coef: -cji},
-				}), lp.LE, ffSetupRHS(c, ov, opts, pi))
+				}), lp.LE, ffSetupRHS(ov, opts, pi))
 		}
 	}
 
@@ -432,7 +437,7 @@ func buildLPOv(c *Circuit, ov *DelayOverlay, opts Options) (*lp.Problem, *VarMap
 				terms = append(terms, lp.Term{Var: vm.T[piph], Coef: -1})
 			}
 			addRow(RowInfo{Kind: RowHold, Phase: -1, Sync: i, Path: pi, Name: fmt.Sprintf("hold.%s->%s", c.SyncName(j), c.SyncName(i))},
-				skewSlack(terms), lp.GE, holdRHS(c, ov, opts, pi))
+				skewSlack(terms), lp.GE, holdRHS(ov, opts, pi))
 		}
 	}
 

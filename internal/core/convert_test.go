@@ -6,6 +6,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -147,7 +148,7 @@ func TestConvertNeverWorseThanEdgeTriggered(t *testing.T) {
 		{"single-phase FF ring", ffPipeline(), false},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			base, err := ettf.MinTc(tt.c, core.Options{})
+			base, err := ettf.MinTcCtx(context.Background(), tt.c.MustFreeze().Overlay(), core.Options{})
 			if err != nil {
 				t.Fatalf("edge-triggered baseline: %v", err)
 			}

@@ -95,14 +95,15 @@ func (cc *Compiled) lpTemplate(opts Options) *lpTemplate {
 		cc.lps = append(cc.lps, t)
 	}
 	cc.mu.Unlock()
-	t.once.Do(func() { t.build(cc.c, opts) })
+	t.once.Do(func() { t.build(cc.Overlay(), opts) })
 	return t
 }
 
 // build generates the base overlay's LP and indexes the rows that
 // carry each path's delays.
-func (t *lpTemplate) build(c *Circuit, opts Options) {
-	prob, vm, rows := buildLPOv(c, nil, opts)
+func (t *lpTemplate) build(base DelayOverlay, opts Options) {
+	c := base.base.c
+	prob, vm, rows := buildLP(base, opts)
 	t.prob, t.vm, t.rows = prob, vm, rows[:len(rows):len(rows)]
 	t.fixedRow = -1
 	t.delayRow = make([]int32, len(c.paths))
@@ -126,21 +127,20 @@ func (t *lpTemplate) build(c *Circuit, opts Options) {
 
 // instance returns the overlay's LP under opts: a fork of the template
 // with every edited path's delay and hold rows and the fixed-Tc row
-// re-evaluated by the same RHS formulas buildLPOv uses, so the program
+// re-evaluated by the same RHS formulas buildLP uses, so the program
 // is bit-identical to building it from scratch.
-func (t *lpTemplate) instance(ov *DelayOverlay, opts Options) *lp.Problem {
-	c := ov.base.c
+func (t *lpTemplate) instance(ov DelayOverlay, opts Options) *lp.Problem {
 	p := t.prob.Fork()
 	for pidx := range ov.edits {
 		pi := int(pidx)
 		row := int(t.delayRow[pi])
 		if t.rows[row].Kind == RowPropagation {
-			p.SetRHS(row, propagationRHS(c, ov, opts, pi))
+			p.SetRHS(row, propagationRHS(ov, opts, pi))
 		} else {
-			p.SetRHS(row, ffSetupRHS(c, ov, opts, pi))
+			p.SetRHS(row, ffSetupRHS(ov, opts, pi))
 		}
 		if t.holdRow != nil && t.holdRow[pi] >= 0 {
-			p.SetRHS(int(t.holdRow[pi]), holdRHS(c, ov, opts, pi))
+			p.SetRHS(int(t.holdRow[pi]), holdRHS(ov, opts, pi))
 		}
 	}
 	if t.fixedRow >= 0 {

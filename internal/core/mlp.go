@@ -19,12 +19,13 @@ type Result struct {
 	// output-departure times, each relative to the start of the
 	// element's own phase. A may be -Inf for elements with no fanin.
 	D, A, Q []float64
-	// UpdateIterations is the number of full passes of the departure
-	// update loop (paper steps 3–5; "usually two to three, sometimes
-	// zero").
+	// UpdateIterations is the slide's iteration count (paper steps
+	// 3–5; "usually two to three, sometimes zero"): the number of full
+	// passes that changed a departure for Jacobi and Gauss–Seidel, and
+	// the relaxation count (the same value as Relaxations) for the
+	// event-driven worklist, which has no passes.
 	UpdateIterations int
-	// Relaxations counts individual departure-time updates performed
-	// (meaningful for the event-driven mode).
+	// Relaxations counts individual departure-time updates performed.
 	Relaxations int
 	// NumConstraints is the LP row count (the paper reports 91 for the
 	// GaAs example).
@@ -44,9 +45,9 @@ type Result struct {
 	Circuit *Circuit
 	Options Options
 	// Overlay records the delay overlay the solve ran against (the
-	// zero overlay for plain MinTc). When valid, Circuit is the
-	// overlay's shared snapshot view and must not be mutated;
-	// Reoptimize then works purely on overlays.
+	// snapshot's empty overlay for MinTc on a builder circuit). Circuit
+	// is its shared snapshot view and must not be mutated; what-if
+	// edits layer on Overlay (TryReoptimizeDual, Overlay.With).
 	Overlay DelayOverlay
 	// Objective is the optimization goal the solve ran under (copied
 	// from Options.Objective; the zero value is plain min-Tc).
@@ -75,9 +76,10 @@ var (
 	// clock at any cycle time (e.g. structurally impossible flip-flop
 	// timing).
 	ErrInfeasible = errors.New("core: timing constraints are infeasible")
-	// ErrNoConvergence indicates the departure update iteration failed
-	// to reach a fixpoint (should not happen from an LP-optimal start;
-	// it guards against numerical pathologies).
+	// ErrNoConvergence indicates the departure update found no
+	// fixpoint: the slide hit its cap and the schedule admits no least
+	// fixpoint either (should not happen from an LP-optimal start; it
+	// guards against numerical pathologies).
 	ErrNoConvergence = errors.New("core: departure update iteration did not converge")
 )
 
@@ -112,11 +114,17 @@ func MinTc(c *Circuit, opts Options) (*Result, error) {
 // the obs recorder carried by the context (one is created when absent,
 // so Result.Stats is always populated). On cancellation the recorder
 // retains the progress reached so far.
+//
+// The circuit is frozen first and solved through its empty overlay, so
+// the result is snapshot-backed: Result.Circuit is the snapshot's
+// read-only view, and what-if edits go through Result.Overlay.With
+// (or a session) instead of the builder circuit.
 func MinTcCtx(ctx context.Context, c *Circuit, opts Options) (*Result, error) {
-	if err := c.Validate(); err != nil {
+	cc, err := c.Freeze()
+	if err != nil {
 		return nil, err
 	}
-	return minTcCtx(ctx, c, nil, opts)
+	return MinTcOverlayWarmCtx(ctx, cc.Overlay(), opts, nil)
 }
 
 // MinTcOverlay solves the design problem against a frozen snapshot
@@ -134,28 +142,6 @@ func MinTcOverlay(ov DelayOverlay, opts Options) (*Result, error) {
 // options are validated here.
 func MinTcOverlayCtx(ctx context.Context, ov DelayOverlay, opts Options) (*Result, error) {
 	return MinTcOverlayWarmCtx(ctx, ov, opts, nil)
-}
-
-// MinTcOverlayWarmCtx is MinTcOverlayCtx warm-started from a previous
-// solve's optimal LP basis (Result.LPBasis of a solve over the same
-// snapshot with the same options). Overlay edits only move LP RHS
-// values, so the old basis typically stays dual feasible and the
-// re-solve costs a handful of dual-simplex pivots instead of a full
-// two-phase solve. A nil or mismatched basis falls back to a cold
-// solve; results are identical either way.
-func MinTcOverlayWarmCtx(ctx context.Context, ov DelayOverlay, opts Options, warm *lp.Basis) (*Result, error) {
-	if !ov.Valid() {
-		return nil, fmt.Errorf("core: MinTcOverlay on a zero DelayOverlay (start from Circuit.Freeze)")
-	}
-	return minTcCtxWarm(ctx, ov.base.c, &ov, opts, warm)
-}
-
-// minTcCtx is the shared Algorithm MLP implementation: delays are read
-// through the optional overlay (nil = the circuit's own paths). The
-// circuit is assumed valid (MinTcCtx validates builder circuits;
-// Freeze validated snapshots).
-func minTcCtx(ctx context.Context, c *Circuit, ov *DelayOverlay, opts Options) (*Result, error) {
-	return minTcCtxWarm(ctx, c, ov, opts, nil)
 }
 
 // recordLPStats translates the solver's self-reported work profile
@@ -191,9 +177,22 @@ func recordLPStats(rec *obs.Rec, sol *lp.Solution) {
 	}
 }
 
-// minTcCtxWarm is minTcCtx with an optional warm-start basis for the
-// LP solve.
-func minTcCtxWarm(ctx context.Context, c *Circuit, ov *DelayOverlay, opts Options, warm *lp.Basis) (*Result, error) {
+// MinTcOverlayWarmCtx is MinTcOverlayCtx warm-started from a previous
+// solve's optimal LP basis (Result.LPBasis of a solve over the same
+// snapshot with the same options). Overlay edits only move LP RHS
+// values, so the old basis typically stays dual feasible and the
+// re-solve costs a handful of dual-simplex pivots instead of a full
+// two-phase solve. A nil or mismatched basis falls back to a cold
+// solve; results are identical either way.
+//
+// This is the one Algorithm MLP implementation: the LP is the
+// snapshot's template for the options' shape with the overlay's edited
+// rows patched in, and the slide runs on the overlay's kernel.
+func MinTcOverlayWarmCtx(ctx context.Context, ov DelayOverlay, opts Options, warm *lp.Basis) (*Result, error) {
+	if !ov.Valid() {
+		return nil, fmt.Errorf("core: MinTcOverlay on a zero DelayOverlay (start from Circuit.Freeze)")
+	}
+	c := ov.base.c
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -213,12 +212,8 @@ func minTcCtxWarm(ctx context.Context, c *Circuit, ov *DelayOverlay, opts Option
 		sol  *lp.Solution
 	)
 	err := rec.Phase(ctx, "lp", func(ctx context.Context) error {
-		if ov != nil {
-			tpl := ov.base.lpTemplate(opts)
-			prob, vm, rows = tpl.instance(ov, opts), tpl.vm, tpl.rows
-		} else {
-			prob, vm, rows = buildLPOv(c, nil, opts)
-		}
+		tpl := ov.base.lpTemplate(opts)
+		prob, vm, rows = tpl.instance(ov, opts), tpl.vm, tpl.rows
 		rec.Add(obs.LPRows, int64(prob.NumConstraints()))
 		var serr error
 		sol, serr = lp.SolveCtxFrom(ctx, prob, warm)
@@ -280,18 +275,15 @@ func minTcCtxWarm(ctx context.Context, c *Circuit, ov *DelayOverlay, opts Option
 		Vars:           vm,
 		Circuit:        c,
 		Options:        opts,
+		Overlay:        ov,
 		Objective:      obj,
 		ObjectiveValue: objVal,
-	}
-	if ov != nil {
-		res.Overlay = *ov
 	}
 
 	// Steps 3–5: iterate the propagation operator with the clock held
 	// fixed until the L2 equalities hold. The operator is evaluated
-	// through a compiled kernel — a fresh compile for builder circuits,
-	// the snapshot's cached kernel (plus the overlay's edits) for
-	// frozen ones.
+	// through the overlay's kernel: the snapshot's cached compile plus
+	// the overlay's edits.
 	//
 	// The skew-budget objective slides under the *tightened* operator
 	// (Skew increased by the achieved allowance): the certified claim
@@ -301,7 +293,7 @@ func minTcCtxWarm(ctx context.Context, c *Circuit, ov *DelayOverlay, opts Option
 	if obj.Kind == ObjMinSkewBudget && objVal > 0 {
 		slideOpts.Skew += objVal
 	}
-	kn := kernelFor(c, ov, slideOpts)
+	kn := ov.Kernel(slideOpts)
 	sc := kn.getSlide()
 	defer kn.putSlide(sc)
 	sc.shift = kn.ShiftTable(sched, sc.shift)
@@ -327,32 +319,28 @@ func minTcCtxWarm(ctx context.Context, c *Circuit, ov *DelayOverlay, opts Option
 	return res, nil
 }
 
-// kernelFor compiles (or, for frozen snapshots, fetches and derives)
-// the propagation kernel for a solve.
-func kernelFor(c *Circuit, ov *DelayOverlay, opts Options) *Kernel {
-	if ov != nil {
-		return ov.Kernel(opts)
-	}
-	return CompileKernel(c, opts)
-}
-
 // maxUpdateIter returns the iteration cap for the departure update.
 func maxUpdateIter(c *Circuit, opts Options) int {
 	if opts.MaxUpdateIter > 0 {
 		return opts.MaxUpdateIter
 	}
-	// The decreasing iteration from an LP point converges in at most
-	// O(l) structural steps plus slack/step ratios; this cap is far
-	// above anything observed (the paper reports 2–3 iterations).
+	// The decreasing iteration from an LP point takes O(l) structural
+	// steps plus, per loop, the LP point's excess over the fixpoint
+	// divided by the loop's slack at the schedule — unbounded as a loop
+	// approaches criticality. Past this cap the slide finishes at the
+	// least fixpoint instead (see finishAtLeastFixpoint).
 	return 100*c.L() + 100
 }
 
 // slideDepartures implements steps 2–5 of Algorithm MLP on d in place,
-// returning the number of full iterations (Jacobi/Gauss–Seidel) or
-// rounds (event-driven) performed. The context is polled once per full
-// pass (Jacobi/Gauss–Seidel) or every 1024 worklist steps
-// (event-driven); on cancellation the counts reached so far are
-// returned with the context's error.
+// returning the iteration count — full passes that changed a departure
+// for Jacobi and Gauss–Seidel, relaxations for the event-driven
+// worklist (which has no passes) — and the relaxation count. The
+// context is polled once per full pass (Jacobi/Gauss–Seidel) or every
+// 1024 worklist steps (event-driven); on cancellation the counts
+// reached so far are returned with the context's error. A slide that
+// hits the iteration cap finishes at the least fixpoint
+// (finishAtLeastFixpoint).
 //
 // The propagation operator is evaluated through a compiled Kernel —
 // the circuit's fanin lists are flattened once and every update is a
@@ -413,7 +401,7 @@ func slideDepartures(ctx context.Context, c *Circuit, kn *Kernel, shift, d []flo
 		steps := limit * (l + 1)
 		for n > 0 {
 			if steps--; steps < 0 {
-				return iters, relaxations, ErrNoConvergence
+				return relaxations, relaxations, finishAtLeastFixpoint(kn, shift, d)
 			}
 			if steps&1023 == 0 {
 				if err := ctx.Err(); err != nil {
@@ -469,7 +457,27 @@ func slideDepartures(ctx context.Context, c *Circuit, kn *Kernel, shift, d []flo
 			iters = m + 1
 		}
 	}
-	return iters, relaxations, ErrNoConvergence
+	return iters, relaxations, finishAtLeastFixpoint(kn, shift, d)
+}
+
+// finishAtLeastFixpoint ends a slide that hit its iteration cap. The
+// descent from the LP point moves a loop's departures by the loop's
+// slack at the schedule per pass, so a nearly critical loop needs far
+// more passes than the cap allows, while every loop with nonzero slack
+// has a unique fixpoint. The least fixpoint — computed exactly, as
+// CheckTc does — lies at or below the LP point's departures (the LP
+// point is a pre-fixpoint above the 0 floor), so it satisfies every
+// L1 and flip-flop setup row the LP point does and is the P1 solution
+// Theorem 1 asks for. d is overwritten with it; ErrNoConvergence only
+// if no fixpoint exists at the schedule (a loop gains delay every
+// cycle, a numerical pathology from an LP-optimal point).
+func finishAtLeastFixpoint(kn *Kernel, shift, d []float64) error {
+	lf, _ := leastFixpoint(kn, shift)
+	if lf == nil {
+		return ErrNoConvergence
+	}
+	copy(d, lf)
+	return nil
 }
 
 // departureOf evaluates the paper's propagation constraint L2 for one

@@ -203,11 +203,12 @@ func (o DelayOverlay) Kernel(opts Options) *Kernel {
 
 // Materialize returns a circuit carrying the overlay's effective
 // delays. With no edits it is the snapshot's shared read-only circuit
-// view (zero-copy); with edits it is a fresh private clone. This is
-// the bridge for analyses that want a plain *Circuit (the mcr, nrip
-// and ettf engines and the certified supervisor's checker take it);
-// overlay-native entry points (MinTcOverlay, CheckTcOverlay, the
-// simulators) never materialize.
+// view (zero-copy); with edits it is a fresh private clone. Every
+// solver and simulator reads delays through the overlay itself
+// (Delay, MinDelay, ArcWeight); the one production caller of this
+// bridge is the certified supervisor's checker, which re-derives
+// every certificate from a plain circuit independently of the
+// solvers' plumbing.
 func (o DelayOverlay) Materialize() *Circuit {
 	if len(o.edits) == 0 {
 		return o.base.c
@@ -220,27 +221,22 @@ func (o DelayOverlay) Materialize() *Circuit {
 	return c
 }
 
-// delayOf resolves the effective delays of path pidx under an optional
-// overlay (nil ov = the circuit's own paths). Internal plumbing shared
-// by the LP builder, the hold analysis and the kernel fold, so every
-// consumer sees identical values.
-func delayOf(c *Circuit, ov *DelayOverlay, pidx int) (delay, minDelay float64) {
+// ArcWeight is core.ArcWeight with the path's worst-case delay read
+// through the overlay: the margin-adjusted transfer weight
+// ΔDQ_j + Δ_ji + Skew + σ_{p_j} + σ_{p_i}, summed in the same order,
+// so a path without an edit weighs bit-identically. The LP rows and
+// the mcr constraint graph read it.
+func (o DelayOverlay) ArcWeight(opts Options, pidx int) float64 {
+	c := o.base.c
 	p := c.paths[pidx]
-	if ov != nil {
-		if e, ok := ov.edits[int32(pidx)]; ok {
-			return e.delay, e.minDelay
-		}
-	}
-	return p.Delay, p.MinDelay
+	pj, pi := c.syncs[p.From].Phase, c.syncs[p.To].Phase
+	return c.syncs[p.From].DQ + o.Delay(pidx) + opts.Skew + opts.sigma(pj) + opts.sigma(pi)
 }
 
-// arcWeightOv is ArcWeight under an optional overlay: the
-// margin-adjusted transfer weight ΔDQ_j + Δ_ji + Skew + σ_{p_j} +
-// σ_{p_i} with Δ_ji read through the overlay. Identical to ArcWeight
-// when ov is nil or has no edit for the path.
-func arcWeightOv(c *Circuit, ov *DelayOverlay, opts Options, pidx int) float64 {
-	p := c.paths[pidx]
-	d, _ := delayOf(c, ov, pidx)
-	pj, pi := c.syncs[p.From].Phase, c.syncs[p.To].Phase
-	return c.syncs[p.From].DQ + d + opts.Skew + opts.sigma(pj) + opts.sigma(pi)
+// circuitView returns the zero overlay over an unfrozen builder
+// circuit, for BuildLP's circuit-level form: the LP generator then
+// reads every delay through one accessor set. The view is private to
+// one call; it carries none of Freeze's caches and must not escape.
+func circuitView(c *Circuit) DelayOverlay {
+	return DelayOverlay{base: &Compiled{c: c}}
 }

@@ -232,12 +232,3 @@ func (o DelayOverlay) ComponentDigest(ci int) uint64 {
 	}
 	return h
 }
-
-// ArcWeight is core.ArcWeight with the path's worst-case delay read
-// through the overlay: the margin-adjusted transfer weight
-// ΔDQ_j + Δ_ji + Skew + σ_{p_j} + σ_{p_i}. The decomposed solvers use
-// it to build overlay-native constraint graphs without materializing a
-// circuit clone.
-func (o DelayOverlay) ArcWeight(opts Options, pidx int) float64 {
-	return arcWeightOv(o.base.c, &o, opts, pidx)
-}

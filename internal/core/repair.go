@@ -16,7 +16,8 @@ import "fmt"
 // that pass — shrinking is never attempted). maxScale caps the search
 // (default 1024); if even that fails, an error is returned.
 func RepairSchedule(c *Circuit, sched *Schedule, opts Options, maxScale float64) (*Schedule, float64, error) {
-	if err := c.Validate(); err != nil {
+	cc, err := c.Freeze()
+	if err != nil {
 		return nil, 0, err
 	}
 	if sched.K() != c.K() {
@@ -35,7 +36,7 @@ func RepairSchedule(c *Circuit, sched *Schedule, opts Options, maxScale float64)
 			sc.S[i] *= alpha
 			sc.T[i] *= alpha
 		}
-		an, err := CheckTc(c, sc, opts)
+		an, err := CheckTcOverlay(cc.Overlay(), sc, opts)
 		return sc, err == nil && an.Feasible
 	}
 	if sc, ok := feasible(1); ok {

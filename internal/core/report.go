@@ -56,14 +56,19 @@ func (w StabilityWindow) Width() float64 { return w.Expire - w.Valid }
 // of the hold extension. Synchronizers with no fanin get an unbounded
 // window [-Inf, +Inf].
 func StabilityWindows(c *Circuit, sched *Schedule) ([]StabilityWindow, error) {
-	an, err := CheckTc(c, sched, Options{})
+	cc, err := c.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	ov := cc.Overlay()
+	an, err := CheckTcOverlay(ov, sched, Options{})
 	if err != nil {
 		return nil, err
 	}
 	if an.D == nil {
 		return nil, fmt.Errorf("core: no periodic steady state at this schedule")
 	}
-	de := earliestDepartures(c, nil, sched)
+	de := earliestDepartures(ov, sched)
 	out := make([]StabilityWindow, c.L())
 	for i := range out {
 		if len(c.Fanin(i)) == 0 {
@@ -72,7 +77,7 @@ func StabilityWindows(c *Circuit, sched *Schedule) ([]StabilityWindow, error) {
 		}
 		out[i] = StabilityWindow{
 			Valid:  an.A[i],
-			Expire: earliestArrivalOf(c, nil, sched, de, i) + sched.Tc,
+			Expire: earliestArrivalOf(ov, sched, de, i) + sched.Tc,
 		}
 	}
 	return out, nil

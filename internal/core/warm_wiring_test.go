@@ -84,8 +84,8 @@ func TestSweepWarmMatchesPerValueSolves(t *testing.T) {
 }
 
 // TestReoptimizeFallbackMatchesFreshSolve: when the dual shortcut fails
-// and Reoptimize falls back to a warm full solve, the answer must equal
-// a from-scratch MinTc of the edited circuit.
+// and the what-if falls back to a warm re-solve of the edited overlay,
+// the answer must equal a from-scratch MinTc of the edited circuit.
 func TestReoptimizeFallbackMatchesFreshSolve(t *testing.T) {
 	c := circuits.GaAsMIPS()
 	r, err := core.MinTc(c, core.Options{})
@@ -94,13 +94,14 @@ func TestReoptimizeFallbackMatchesFreshSolve(t *testing.T) {
 	}
 	// A 10x delay change is far outside any basis validity interval.
 	newDelay := c.Paths()[0].Delay * 10
-	tc, resolved, err := r.Reoptimize(0, newDelay)
+	if _, ok, err := r.TryReoptimizeDual(0, newDelay); err != nil || ok {
+		t.Fatalf("expected the dual shortcut to decline (ok=%v, err=%v)", ok, err)
+	}
+	warm, err := core.MinTcOverlayWarmCtx(context.Background(), r.Overlay.With(0, newDelay), core.Options{}, r.LPBasis())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resolved {
-		t.Fatal("expected the dual shortcut to fail and the full solve to run")
-	}
+	tc := warm.Schedule.Tc
 	fresh, err := core.MinTc(circuitWithDelay(t, 0, newDelay), core.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -168,7 +168,7 @@ func TestIncrementalResolve(t *testing.T) {
 		if res.Resolved != wantResolved {
 			t.Errorf("%s: resolved %d components, want %d", name, res.Resolved, wantResolved)
 		}
-		ref, err := mcr.SolveCtx(ctx, ov.Materialize(), opts)
+		ref, err := mcr.SolveOverlayCtx(ctx, ov.Materialize().MustFreeze().Overlay(), opts)
 		if err != nil {
 			t.Fatalf("%s: monolithic: %v", name, err)
 		}

@@ -92,7 +92,7 @@ func TestSolveTwoComponentEdit(t *testing.T) {
 	if res.Resolved != 2 {
 		t.Errorf("two-component edit resolved %d components, want 2", res.Resolved)
 	}
-	ref, err := mcr.SolveCtx(ctx, ov.Materialize(), opts)
+	ref, err := mcr.SolveOverlayCtx(ctx, ov.Materialize().MustFreeze().Overlay(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestWarmPotentialReuse(t *testing.T) {
 		t.Errorf("warm solve relaxed %d edges, cold %d: potentials bought nothing", warmRelax, coldRelax)
 	}
 
-	ref, err := mcr.SolveCtx(context.Background(), edited.Materialize(), opts)
+	ref, err := mcr.SolveOverlayCtx(context.Background(), edited.Materialize().MustFreeze().Overlay(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

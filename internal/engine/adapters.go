@@ -75,16 +75,13 @@ func decompSolve(ctx context.Context, ov core.DelayOverlay, opts Options) (*Resu
 }
 
 // mcrSolver runs the min-cycle-ratio formulation — the same optimum by
-// Bellman–Ford witness jumping instead of simplex. It, nrip and ettf
-// solve the overlay's materialized circuit: the snapshot's shared
-// read-only view when the overlay has no edits, a private clone
-// otherwise.
+// Bellman–Ford witness jumping instead of simplex.
 type mcrSolver struct{}
 
 func (mcrSolver) Name() string { return "mcr" }
 
 func (mcrSolver) Solve(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error) {
-	r, err := mcr.SolveCtx(ctx, ov.Materialize(), opts.Core)
+	r, err := mcr.SolveOverlayCtx(ctx, ov, opts.Core)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +95,7 @@ type nripSolver struct{}
 func (nripSolver) Name() string { return "nrip" }
 
 func (nripSolver) Solve(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error) {
-	r, err := nrip.MinTcCtx(ctx, ov.Materialize(), opts.Core)
+	r, err := nrip.MinTcCtx(ctx, ov, opts.Core)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +109,7 @@ type ettfSolver struct{}
 func (ettfSolver) Name() string { return "ettf" }
 
 func (ettfSolver) Solve(ctx context.Context, ov core.DelayOverlay, opts Options) (*Result, error) {
-	r, err := ettf.MinTcCtx(ctx, ov.Materialize(), opts.Core)
+	r, err := ettf.MinTcCtx(ctx, ov, opts.Core)
 	if err != nil {
 		return nil, err
 	}

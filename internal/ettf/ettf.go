@@ -42,14 +42,14 @@ type Result struct {
 	// NumConstraints and Pivots report LP statistics.
 	NumConstraints int
 	Pivots         int
-	// Stats is the observability snapshot of the solve. Populated by
-	// MinTcCtx.
+	// Stats is the observability snapshot of the solve.
 	Stats obs.Stats
 }
 
-// MinTc computes the minimum cycle time and a clock schedule under the
-// edge-triggered approximation: minimize Tc subject to the clock
-// constraints C1–C4 and, for every combinational path j→i,
+// MinTcCtx computes the minimum cycle time and a clock schedule under
+// the edge-triggered approximation for the snapshot behind ov, with
+// path delays read through the overlay: minimize Tc subject to the
+// clock constraints C1–C4 and, for every combinational path j→i,
 //
 //	T_{p_j} + ΔDQ_j + Δ_ji + S_{p_j p_i} <= T_{p_i} − ΔDC_i
 //
@@ -57,17 +57,14 @@ type Result struct {
 // closing edge of φ_{p_i} minus setup). Flip-flop sources launch at
 // their true opening edge, and flip-flop destinations require arrival
 // before the opening edge, matching their exact semantics.
-func MinTc(c *core.Circuit, opts core.Options) (*Result, error) {
-	return MinTcCtx(context.Background(), c, opts)
-}
-
-// MinTcCtx is MinTc with cancellation and observability: the context is
-// honored inside the simplex pivot loop, and LP statistics are reported
-// into the obs recorder carried by the context (one is created when
-// absent, so Result.Stats is always populated).
-func MinTcCtx(ctx context.Context, c *core.Circuit, opts core.Options) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
+//
+// The context is honored inside the simplex pivot loop, and LP
+// statistics are reported into the obs recorder carried by the context
+// (one is created when absent, so Result.Stats is always populated).
+// The snapshot was validated at Freeze; only the options are checked.
+func MinTcCtx(ctx context.Context, ov core.DelayOverlay, opts core.Options) (*Result, error) {
+	if !ov.Valid() {
+		return nil, errors.New("ettf: solve on a zero DelayOverlay (start from Circuit.Freeze)")
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -75,6 +72,7 @@ func MinTcCtx(ctx context.Context, c *core.Circuit, opts core.Options) (*Result,
 	if !opts.Objective.IsMinTc() {
 		return nil, fmt.Errorf("ettf: objective %s is not supported (min-Tc only)", opts.Objective)
 	}
+	c := ov.Base().Circuit()
 	rec := obs.From(ctx)
 	if rec == nil {
 		rec = obs.New()
@@ -141,7 +139,7 @@ func MinTcCtx(ctx context.Context, c *core.Circuit, opts core.Options) (*Result,
 		if pj >= pi {
 			cji = 1
 		}
-		w := c.Sync(j).DQ + path.Delay + c.Sync(i).Setup + opts.Skew
+		w := c.Sync(j).DQ + ov.Delay(pidx) + c.Sync(i).Setup + opts.Skew
 		terms := []lp.Term{
 			{Var: s[pj], Coef: 1}, {Var: s[pi], Coef: -1},
 			{Var: tc, Coef: -cji},

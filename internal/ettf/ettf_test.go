@@ -1,6 +1,7 @@
 package ettf
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 func TestMinTcUpperBoundsExact(t *testing.T) {
 	for d41 := 0.0; d41 <= 140; d41 += 10 {
 		c := circuits.Example1(d41)
-		et, err := MinTc(c, core.Options{})
+		et, err := minTc(c, core.Options{})
 		if err != nil {
 			t.Fatalf("Δ41=%g: %v", d41, err)
 		}
@@ -29,7 +30,7 @@ func TestEdgeTriggeredScheduleIsConservative(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 80; iter++ {
 		c := randomCircuit(rng)
-		et, err := MinTc(c, core.Options{})
+		et, err := minTc(c, core.Options{})
 		if err != nil {
 			continue // infeasible under approximation: fine
 		}
@@ -52,7 +53,7 @@ func TestFFOnlyCircuitMatchesExact(t *testing.T) {
 	b := c.AddFF("B", 0, 2, 1)
 	c.AddPath(a, b, 10)
 	c.AddPath(b, a, 6)
-	et, err := MinTc(c, core.Options{})
+	et, err := minTc(c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestSingleStageBoundExample1(t *testing.T) {
 	// Δ41 = 0: Tc is bounded below by the two-cycle loop sum
 	// (100 + Δ41) and by stage structure; verify the known value 120.
 	c := circuits.Example1(0)
-	et, err := MinTc(c, core.Options{})
+	et, err := minTc(c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestSingleStageBoundExample1(t *testing.T) {
 
 func TestOptionsRespected(t *testing.T) {
 	c := circuits.Example1(40)
-	base, err := MinTc(c, core.Options{})
+	base, err := minTc(c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := MinTc(c, core.Options{MinPhaseWidth: 40, MinSeparation: 5})
+	wide, err := minTc(c, core.Options{MinPhaseWidth: 40, MinSeparation: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +101,14 @@ func TestOptionsRespected(t *testing.T) {
 }
 
 func TestValidateRejected(t *testing.T) {
-	if _, err := MinTc(core.NewCircuit(1), core.Options{}); err == nil {
+	if _, err := minTc(core.NewCircuit(1), core.Options{}); err == nil {
 		t.Fatal("invalid circuit accepted")
 	}
 }
 
 func TestStatsPopulated(t *testing.T) {
 	c := circuits.Example1(40)
-	et, err := MinTc(c, core.Options{})
+	et, err := minTc(c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,4 +135,13 @@ func randomCircuit(rng *rand.Rand) *core.Circuit {
 		c.AddPath(rng.Intn(l), rng.Intn(l), rng.Float64()*50)
 	}
 	return c
+}
+
+// minTc freezes c and solves its empty overlay.
+func minTc(c *core.Circuit, opts core.Options) (*Result, error) {
+	cc, err := c.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	return MinTcCtx(context.Background(), cc.Overlay(), opts)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -55,11 +56,12 @@ func Checklist() ([]Claim, error) {
 
 	// Fig. 9: NRIP gap ~35%.
 	ex2 := circuits.Example2()
-	opt2, err := core.MinTc(ex2, core.Options{})
+	ex2ov := ex2.MustFreeze().Overlay()
+	opt2, err := core.MinTcOverlay(ex2ov, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	nr2, err := nrip.MinTc(ex2, core.Options{})
+	nr2, err := nrip.MinTcCtx(context.Background(), ex2ov, core.Options{})
 	if err != nil {
 		return nil, err
 	}

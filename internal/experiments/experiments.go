@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -158,20 +159,20 @@ func Fig7Sweep(step float64) ([]Fig7Row, error) {
 	}
 	var rows []Fig7Row
 	for d41 := 0.0; d41 <= 140+1e-9; d41 += step {
-		c := circuits.Example1(d41)
-		r, err := core.MinTc(c, core.Options{})
+		ov := circuits.Example1(d41).MustFreeze().Overlay()
+		r, err := core.MinTcOverlay(ov, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		nr, err := nrip.MinTc(c, core.Options{})
+		nr, err := nrip.MinTcCtx(context.Background(), ov, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		et, err := ettf.MinTc(c, core.Options{})
+		et, err := ettf.MinTcCtx(context.Background(), ov, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		ag, err := agrawal.MinTc(c, 0.5, 1e-6)
+		ag, err := agrawal.MinTc(ov, 0.5, 1e-6)
 		if err != nil {
 			return nil, err
 		}
@@ -251,12 +252,12 @@ func Fig8() (string, error) {
 func Fig9() (string, error) {
 	var b strings.Builder
 	b.WriteString("Fig. 9 — Example 2: MLP vs NRIP clock schedules\n\n")
-	c := circuits.Example2()
-	r, err := core.MinTc(c, core.Options{})
+	ov := circuits.Example2().MustFreeze().Overlay()
+	r, err := core.MinTcOverlay(ov, core.Options{})
 	if err != nil {
 		return "", err
 	}
-	nr, err := nrip.MinTc(c, core.Options{})
+	nr, err := nrip.MinTcCtx(context.Background(), ov, core.Options{})
 	if err != nil {
 		return "", err
 	}

@@ -84,7 +84,7 @@ func TestPooledProbeBitIdentity(t *testing.T) {
 	for _, bm := range gen.Suite() {
 		var want []float64
 		for rep := 0; rep < 3; rep++ {
-			r, err := mcr.SolveCtx(ctx, bm.Circuit, core.Options{})
+			r, err := mcr.SolveOverlayCtx(ctx, bm.Circuit.MustFreeze().Overlay(), core.Options{})
 			if err != nil {
 				t.Fatalf("%s rep %d: %v", bm.Name, rep, err)
 			}
@@ -157,7 +157,7 @@ func TestPooledScratchConcurrentBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantFlat := flattenResult(wantMin)
-	wantMcr, err := mcr.SolveCtx(ctx, bm.Circuit, core.Options{})
+	wantMcr, err := mcr.SolveOverlayCtx(ctx, bm.Circuit.MustFreeze().Overlay(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPooledScratchConcurrentBitIdentity(t *testing.T) {
 				}
 				errs[i] = err
 			case 1:
-				r, err := mcr.SolveCtx(ctx, bm.Circuit, core.Options{})
+				r, err := mcr.SolveOverlayCtx(ctx, bm.Circuit.MustFreeze().Overlay(), core.Options{})
 				if err == nil && r.Tc != wantMcr.Tc {
 					t.Errorf("goroutine %d: concurrent MCR Tc %v != %v", i, r.Tc, wantMcr.Tc)
 				}

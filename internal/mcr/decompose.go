@@ -7,16 +7,16 @@ import (
 )
 
 // NewSolverOverlay compiles the full constraint graph with path delays
-// read through a snapshot overlay — the overlay-native counterpart of
-// NewSolver, used by the decomposed solver's global coupling phase. The
-// snapshot is already validated (Freeze), so only the options are
-// checked. SetDelay edits layer on top of the overlay's delays.
+// read through a snapshot overlay, for repeated solves: design
+// iterations (SetDelay between solves), sweeps and the decomposed
+// solver's global coupling phase. The snapshot is already validated
+// (Freeze), so only the options are checked. SetDelay edits layer on
+// top of the overlay's delays.
 func NewSolverOverlay(ov core.DelayOverlay, opts core.Options) (*Solver, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	c := ov.Base().Circuit()
-	return newSolverOn(newBuilderSub(c, opts, &ov, nil), opts, &ov), nil
+	return newSolverOn(newBuilder(ov, opts, nil), opts, ov), nil
 }
 
 // NewComponentSolver compiles the restriction of the constraint system
@@ -36,7 +36,7 @@ func NewComponentSolver(ov core.DelayOverlay, opts core.Options, members []int32
 	for _, m := range members {
 		inComp[m] = true
 	}
-	return newSolverOn(newBuilderSub(c, opts, &ov, inComp), opts, &ov), nil
+	return newSolverOn(newBuilder(ov, opts, inComp), opts, ov), nil
 }
 
 // SolveFromCtx runs the witness-jumping loop starting from a

@@ -35,7 +35,7 @@ func TestUniformRingProbes(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := obs.New()
-			r, err := SolveCtx(obs.With(context.Background(), rec), c, core.Options{})
+			r, err := solveCtx(obs.With(context.Background(), rec), c, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestUniformRingProbes(t *testing.T) {
 			if r.Probes > 4 {
 				t.Errorf("%d probes, want <= 4", r.Probes)
 			}
-			edges := int64(len(newBuilder(c, core.Options{}).edges))
+			edges := int64(len(builderFor(c, core.Options{}).edges))
 			if relax := rec.Get(obs.ProbeRelaxations); relax >= 25*edges {
 				t.Errorf("%d probe relaxations, want < 25 x %d edges", relax, edges)
 			}
@@ -57,7 +57,7 @@ func TestUniformRingProbes(t *testing.T) {
 			}
 
 			// A warm re-solve after slowing one stage.
-			s, err := NewSolver(c, core.Options{})
+			s, err := newSolver(c, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestHowardBoundSound(t *testing.T) {
 		// Plain witness jumping, replayed with the policy iteration run
 		// alongside: its verdict is the reference, its cycles are
 		// checked against the optimum afterwards.
-		b := newBuilder(hc.c, hc.opts)
+		b := builderFor(hc.c, hc.opts)
 		var ratios []float64
 		refTc, refInfeasible := 0.0, false
 		for iter := 0; ; iter++ {
@@ -177,7 +177,7 @@ func TestHowardBoundSound(t *testing.T) {
 				t.Fatalf("%s: witness jumping finds infeasibility, Solve says %v", hc.name, err)
 			}
 			checkInfeasibleWitness(t, hc.name, ie)
-			if _, err := SolveBinary(hc.c, hc.opts, 1e-9); !errors.Is(err, ErrInfeasible) {
+			if _, err := solveBinary(hc.c, hc.opts, 1e-9); !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("%s: infeasible, bisection says %v", hc.name, err)
 			}
 			continue
@@ -195,7 +195,7 @@ func TestHowardBoundSound(t *testing.T) {
 				t.Fatalf("%s: policy cycle ratio %.12g exceeds optimum %.12g", hc.name, r, got.Tc)
 			}
 		}
-		bin, err := SolveBinary(hc.c, hc.opts, 1e-11*(1+got.Tc))
+		bin, err := solveBinary(hc.c, hc.opts, 1e-11*(1+got.Tc))
 		if err != nil {
 			t.Fatalf("%s: bisection: %v", hc.name, err)
 		}

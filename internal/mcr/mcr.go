@@ -18,13 +18,13 @@
 // B_cycle = 0 and A_cycle > 0 witness structural infeasibility at any
 // cycle time.
 //
-// Two engines are provided: Solve (Lawler-style witness-cycle jumping,
-// exact up to floating point) and SolveBinary (plain bisection, used
-// for cross-checking). After each infeasible probe Solve also runs
-// Howard's policy iteration seeded from the probe's predecessor graph
-// (howard.go) and jumps to the larger of its best cycle ratio and the
-// witness's, so a solve takes a handful of Bellman–Ford runs even where
-// the witnesses alone would crawl through nearly critical cycles.
+// Solve uses Lawler-style witness-cycle jumping, exact up to floating
+// point (the tests cross-check it against plain bisection). After each
+// infeasible probe it also runs Howard's policy iteration seeded from
+// the probe's predecessor graph (howard.go) and jumps to the larger of
+// its best cycle ratio and the witness's, so a solve takes a handful of
+// Bellman–Ford runs even where the witnesses alone would crawl through
+// nearly critical cycles.
 package mcr
 
 import (
@@ -145,7 +145,7 @@ type Result struct {
 	// Probes counts Bellman–Ford feasibility probes.
 	Probes int
 	// Stats is the observability snapshot of the solve (probe counter,
-	// "build"/"search" stage durations). Populated by SolveCtx.
+	// "build"/"search" stage durations). Populated by SolveOverlayCtx.
 	Stats obs.Stats
 
 	// criticalA/criticalB hold the witness cycle's accumulated
@@ -181,21 +181,16 @@ func (e *InfeasibleError) Unwrap() error { return ErrInfeasible }
 
 const eps = 1e-9
 
-// newBuilder assembles the difference-constraint graph for circuit c.
-func newBuilder(c *core.Circuit, opts core.Options) *builder {
-	return newBuilderSub(c, opts, nil, nil)
-}
-
-// newBuilderSub is the generalized graph assembly shared by the full
-// solver and the decomposed per-component solvers: path delays are
-// read through an optional overlay (nil = the circuit's own delays),
+// newBuilder assembles the difference-constraint graph of the
+// snapshot behind ov, shared by the full solver and the decomposed
+// per-component solvers: path delays are read through the overlay,
 // and an optional membership mask restricts the system to a subset of
 // synchronizers — only member syncs get departure nodes and rows, and
 // only paths with both endpoints in the subset get constraint edges
 // (clock rows are always emitted; they are shared by every subsystem).
-// With inComp == nil and ov == nil the graph is bit-identical to the
-// original monolithic builder. pathEdge[p] is -1 for excluded paths.
-func newBuilderSub(c *core.Circuit, opts core.Options, ov *core.DelayOverlay, inComp []bool) *builder {
+// pathEdge[p] is -1 for excluded paths.
+func newBuilder(ov core.DelayOverlay, opts core.Options, inComp []bool) *builder {
+	c := ov.Base().Circuit()
 	k, l := c.K(), c.L()
 	b := &builder{c: c, opts: opts}
 	alloc := func(name string) int {
@@ -205,13 +200,6 @@ func newBuilderSub(c *core.Circuit, opts core.Options, ov *core.DelayOverlay, in
 		return id
 	}
 	member := func(i int) bool { return inComp == nil || inComp[i] }
-	delayOf := func(pidx int) (d, min float64) {
-		if ov != nil {
-			return ov.Delay(pidx), ov.MinDelay(pidx)
-		}
-		p := c.Paths()[pidx]
-		return p.Delay, p.MinDelay
-	}
 	b.z = alloc("origin")
 	b.s = make([]int, k)
 	b.e = make([]int, k)
@@ -287,16 +275,8 @@ func newBuilderSub(c *core.Circuit, opts core.Options, ov *core.DelayOverlay, in
 			cji = 1
 		}
 		// Same margin-adjusted transfer weight as the LP's L2R rows and
-		// the analysis fixpoint, with the delay read through the overlay
-		// (DelayOverlay.ArcWeight sums the same five terms in the same
-		// order as core.ArcWeight, so the no-edit case is bit-identical).
-		_, minDelay := delayOf(pidx)
-		var w float64
-		if ov != nil {
-			w = ov.ArcWeight(opts, pidx)
-		} else {
-			w = core.ArcWeight(c, opts, pidx)
-		}
+		// the analysis fixpoint, with the delay read through the overlay.
+		w := ov.ArcWeight(opts, pidx)
 		b.pathEdge[pidx] = len(b.edges)
 		switch c.Sync(i).Kind {
 		case core.Latch:
@@ -309,7 +289,7 @@ func newBuilderSub(c *core.Circuit, opts core.Options, ov *core.DelayOverlay, in
 		// Conservative hold rows, mirroring core.BuildLP exactly:
 		// s_pj − [e_pi (latch) | s_pi (FF)] >= K − (1−C)·Tc.
 		if opts.DesignForHold && c.Sync(i).Hold > 0 {
-			kconst := c.Sync(i).Hold - c.Sync(j).DQ - minDelay +
+			kconst := c.Sync(i).Hold - c.Sync(j).DQ - ov.MinDelay(pidx) +
 				opts.Skew + sigma(opts, pj) + sigma(opts, pi)
 			from := b.e[pi]
 			if c.Sync(i).Kind == core.FlipFlop {
@@ -745,19 +725,26 @@ func (b *builder) probeDense(ctx context.Context, tc float64) (dist []float64, w
 // jump to the ratio of the witness cycle (or of the better cycle the
 // policy-iteration step finds, see solveFrom). Each jump strictly increases
 // the candidate through the finite set of simple-cycle ratios, so the
-// loop terminates with the exact maximum cycle ratio.
+// loop terminates with the exact maximum cycle ratio. The circuit is
+// frozen first and solved through its empty overlay (SolveOverlayCtx).
 func Solve(c *core.Circuit, opts core.Options) (*Result, error) {
-	return SolveCtx(context.Background(), c, opts)
+	cc, err := c.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	return SolveOverlayCtx(context.Background(), cc.Overlay(), opts)
 }
 
-// SolveCtx is Solve with cancellation and observability: the context is
-// honored inside every Bellman–Ford pass and the witness-jumping loop,
-// and probe counts plus "build"/"search" stage timings are reported
-// into the obs recorder carried by the context (one is created when
-// absent, so Result.Stats is always populated).
-func SolveCtx(ctx context.Context, c *core.Circuit, opts core.Options) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
+// SolveOverlayCtx is Solve against a frozen snapshot with the
+// overlay's delay edits applied, with cancellation and observability:
+// the context is honored inside every Bellman–Ford pass and the
+// witness-jumping loop, and probe counts plus "build"/"search" stage
+// timings are reported into the obs recorder carried by the context
+// (one is created when absent, so Result.Stats is always populated).
+// The snapshot was validated at Freeze; only the options are checked.
+func SolveOverlayCtx(ctx context.Context, ov core.DelayOverlay, opts core.Options) (*Result, error) {
+	if !ov.Valid() {
+		return nil, errors.New("mcr: solve on a zero DelayOverlay (start from Circuit.Freeze)")
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -774,7 +761,7 @@ func SolveCtx(ctx context.Context, c *core.Circuit, opts core.Options) (*Result,
 	}
 	var b *builder
 	if err := rec.Phase(ctx, "build", func(context.Context) error {
-		b = newBuilder(c, opts)
+		b = newBuilder(ov, opts, nil)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -793,7 +780,7 @@ func SolveCtx(ctx context.Context, c *core.Circuit, opts core.Options) (*Result,
 }
 
 // solveWith runs the witness-jumping loop on an already-built
-// constraint graph (shared by SolveCtx and Solver.Solve).
+// constraint graph (shared by SolveOverlayCtx and Solver.Solve).
 func solveWith(ctx context.Context, b *builder, opts core.Options) (*Result, error) {
 	return solveFrom(ctx, b, opts, 0, true, false)
 }
@@ -909,78 +896,6 @@ func solveFrom(ctx context.Context, b *builder, opts core.Options, lower float64
 		tc = ratio
 		lastWitness = witness
 	}
-}
-
-// SolveBinary computes the optimal cycle time by bisection to the given
-// absolute tolerance (used as an independent cross-check of Solve).
-func SolveBinary(c *core.Circuit, opts core.Options, tol float64) (*Result, error) {
-	return SolveBinaryCtx(context.Background(), c, opts, tol)
-}
-
-// SolveBinaryCtx is SolveBinary with cancellation: the context is
-// polled inside every Bellman–Ford probe and between bisection steps.
-func SolveBinaryCtx(ctx context.Context, c *core.Circuit, opts core.Options, tol float64) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if tol <= 0 {
-		tol = 1e-7
-	}
-	rec := obs.From(ctx)
-	b := newBuilder(c, opts)
-	res := &Result{}
-	// Bisection moves tc in both directions, so every probe runs cold
-	// (warm starts are only sound as feasibility oracles; the endpoint
-	// probes below also feed extraction, which needs least potentials).
-	probe := func(tc float64) ([]float64, []edge, error) {
-		res.Probes++
-		rec.Add(obs.Probes, 1)
-		return b.probe(ctx, tc, false)
-	}
-	// Upper bound: any Tc beyond the sum of all positive constants is
-	// feasible unless the system is structurally infeasible.
-	hi := 1.0
-	for _, e := range b.edges {
-		if e.a > 0 {
-			hi += e.a
-		}
-	}
-	if _, witness, err := probe(hi); err != nil {
-		return nil, err
-	} else if witness != nil {
-		return nil, ErrInfeasible
-	}
-	if dist, witness, err := probe(0); err != nil {
-		return nil, err
-	} else if witness == nil {
-		b.extract(res, 0, dist, nil)
-		return res, nil
-	}
-	lo := 0.0
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		_, witness, err := probe(mid)
-		if err != nil {
-			return nil, err
-		}
-		if witness == nil {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	dist, witness, err := probe(hi)
-	if err != nil {
-		return nil, err
-	}
-	if witness != nil {
-		return nil, fmt.Errorf("mcr: bisection landed on infeasible point")
-	}
-	b.extract(res, hi, dist, nil)
-	return res, nil
 }
 
 // extract converts origin-based potentials into a Schedule and

@@ -71,7 +71,7 @@ func TestSolveBinaryAgreesWithSolve(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		c := randomCircuit(rng)
 		exact, err1 := Solve(c, core.Options{})
-		approx, err2 := SolveBinary(c, core.Options{}, 1e-7)
+		approx, err2 := solveBinary(c, core.Options{}, 1e-7)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("iter %d: engines disagree on feasibility: %v vs %v", iter, err1, err2)
 		}
@@ -201,7 +201,7 @@ func TestProbesCounted(t *testing.T) {
 	if r.Probes < 1 {
 		t.Error("probe count not recorded")
 	}
-	rb, err := SolveBinary(c, core.Options{}, 1e-7)
+	rb, err := solveBinary(c, core.Options{}, 1e-7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ type chunkedState struct {
 // many chunks so the merge logic is genuinely exercised.
 func runChunked(t *testing.T, c *core.Circuit, tc float64, workers int) chunkedState {
 	t.Helper()
-	b := newBuilder(c, core.Options{})
+	b := builderFor(c, core.Options{})
 	b.chunkCutoff = 1   // always chunked
 	b.chunkSizeOver = 3 // several chunks even on tiny graphs
 	b.probeWorkers = workers
@@ -93,7 +93,7 @@ func TestChunkedProbeParity(t *testing.T) {
 				// Cross-engine: the chunked drain against the legacy
 				// serial worklist, tolerance per probePair (relaxation
 				// order differs, so eps-guard slop may accumulate).
-				bs := newBuilder(bm.Circuit, core.Options{})
+				bs := builderFor(bm.Circuit, core.Options{})
 				bs.chunkCutoff = 1 << 30 // always the serial worklist
 				sdist, swit, err := bs.probe(context.Background(), tc, false)
 				if err != nil {
@@ -130,7 +130,7 @@ func TestChunkedSolveMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Skipf("Solve: %v", err)
 			}
-			b := newBuilder(bm.Circuit, core.Options{})
+			b := builderFor(bm.Circuit, core.Options{})
 			b.chunkCutoff = 1
 			b.chunkSizeOver = 5
 			got, err := solveFrom(context.Background(), b, core.Options{}, 0, true, false)
@@ -164,7 +164,7 @@ func TestEpochWrapAdversarial(t *testing.T) {
 	fresh := runChunked(t, c, r.Tc/2, 4) // infeasible: exercises bestWitness
 	freshF := runChunked(t, c, r.Tc+1, 4)
 
-	b := newBuilder(c, core.Options{})
+	b := builderFor(c, core.Options{})
 	b.chunkCutoff = 1
 	b.chunkSizeOver = 3
 	b.probeWorkers = 4
@@ -257,7 +257,7 @@ func TestInqClearDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cutoff := range []int{1, 1 << 30} { // chunked and serial drains
-		b := newBuilder(c, core.Options{})
+		b := builderFor(c, core.Options{})
 		b.chunkCutoff = cutoff
 		b.chunkSizeOver = 3
 		if _, wit, err := b.probe(context.Background(), r.Tc+1, false); err != nil || wit != nil {
@@ -274,7 +274,7 @@ func TestInqClearDiscipline(t *testing.T) {
 		}
 		// ...and the next cold probe must still match a fresh builder
 		// bitwise (the prologue re-arms dist/pred/inq from scratch).
-		fb := newBuilder(c, core.Options{})
+		fb := builderFor(c, core.Options{})
 		fb.chunkCutoff = cutoff
 		fb.chunkSizeOver = 3
 		want, _, err := fb.probe(context.Background(), r.Tc+1, false)

@@ -14,8 +14,8 @@ import (
 func probePair(t *testing.T, c *core.Circuit, tc float64) {
 	t.Helper()
 	ctx := context.Background()
-	bw := newBuilder(c, core.Options{})
-	bd := newBuilder(c, core.Options{})
+	bw := builderFor(c, core.Options{})
+	bd := builderFor(c, core.Options{})
 	distW, witW, err := bw.probe(ctx, tc, false)
 	if err != nil {
 		t.Fatalf("worklist probe: %v", err)
@@ -102,7 +102,7 @@ func TestWarmStartedSolveIsDeterministic(t *testing.T) {
 					t.Fatalf("D[%d] differs across runs: %v vs %v", i, r1.D[i], r2.D[i])
 				}
 			}
-			s, err := NewSolver(bm.Circuit, core.Options{})
+			s, err := newSolver(bm.Circuit, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func BenchmarkProbe(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	bld := newBuilder(c, core.Options{})
+	bld := builderFor(c, core.Options{})
 	b.Run("worklist", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

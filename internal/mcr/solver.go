@@ -28,41 +28,26 @@ type Solver struct {
 	consMin   []float64
 }
 
-// NewSolver compiles the circuit once for repeated solves.
-func NewSolver(c *core.Circuit, opts core.Options) (*Solver, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	return newSolverOn(newBuilder(c, opts), opts, nil), nil
-}
-
 // newSolverOn wraps a built constraint graph, recording the per-path
-// base constants SetDelay repairs. Delays (and best-case delays) are
-// read through ov when non-nil, else from the circuit.
-func newSolverOn(b *builder, opts core.Options, ov *core.DelayOverlay) *Solver {
-	c := b.c
+// base constants SetDelay repairs, with delays (and best-case delays)
+// read through the overlay the graph was built from.
+func newSolverOn(b *builder, opts core.Options, ov core.DelayOverlay) *Solver {
+	n := len(b.pathEdge)
 	s := &Solver{
 		b:         b,
 		opts:      opts,
-		baseA:     make([]float64, len(c.Paths())),
-		holdBaseA: make([]float64, len(c.Paths())),
-		consMin:   make([]float64, len(c.Paths())),
+		baseA:     make([]float64, n),
+		holdBaseA: make([]float64, n),
+		consMin:   make([]float64, n),
 	}
 	for p, ei := range b.pathEdge {
 		if ei < 0 {
 			continue // outside the subsystem; SetDelay panics on it
 		}
-		d, min := c.Paths()[p].Delay, c.Paths()[p].MinDelay
-		if ov != nil {
-			d, min = ov.Delay(p), ov.MinDelay(p)
-		}
-		s.baseA[p] = b.edges[ei].a - d
+		s.baseA[p] = b.edges[ei].a - ov.Delay(p)
 		if hi := b.holdEdge[p]; hi >= 0 {
 			s.holdBaseA[p] = b.edges[hi].a
-			s.consMin[p] = min
+			s.consMin[p] = ov.MinDelay(p)
 		}
 	}
 	return s

@@ -10,7 +10,7 @@ import (
 
 func TestSolverMatchesSolveAcrossSweep(t *testing.T) {
 	c := circuits.Example1(0)
-	s, err := NewSolver(c, core.Options{})
+	s, err := newSolver(c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestSolverMatchesSolveAcrossSweep(t *testing.T) {
 
 func TestSolverRepeatedSolvesIndependent(t *testing.T) {
 	c := circuits.GaAsMIPS()
-	s, err := NewSolver(c, core.Options{})
+	s, err := newSolver(c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSolverRepeatedSolvesIndependent(t *testing.T) {
 
 func TestSolverSetDelayPanics(t *testing.T) {
 	c := circuits.Example1(80)
-	s, err := NewSolver(c, core.Options{})
+	s, err := newSolver(c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSolverSetDelayPanics(t *testing.T) {
 }
 
 func TestSolverRejectsInvalid(t *testing.T) {
-	if _, err := NewSolver(core.NewCircuit(1), core.Options{}); err == nil {
+	if _, err := newSolver(core.NewCircuit(1), core.Options{}); err == nil {
 		t.Fatal("invalid circuit compiled")
 	}
 }
@@ -91,7 +91,7 @@ func BenchmarkSolverVsFreshSolve(b *testing.B) {
 		}
 	})
 	b.Run("reused", func(b *testing.B) {
-		s, err := NewSolver(c, core.Options{})
+		s, err := newSolver(c, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -35,6 +35,7 @@ package nrip
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -55,28 +56,28 @@ type Result struct {
 	// Probes counts CheckTc evaluations in the borrowing pass.
 	Probes int
 	// Stats is the observability snapshot of the solve (probe counter,
-	// "edge-triggered"/"borrow" stage durations). Populated by MinTcCtx.
+	// "edge-triggered"/"borrow" stage durations).
 	Stats obs.Stats
 }
 
-// MinTc runs the NRIP reconstruction. The tolerance of the borrowing
-// bisection is 1e-9 relative to the edge-triggered cycle time.
-func MinTc(c *core.Circuit, opts core.Options) (*Result, error) {
-	return MinTcCtx(context.Background(), c, opts)
-}
-
-// MinTcCtx is MinTc with cancellation and observability: the context is
-// honored inside the edge-triggered LP solve and between borrowing
-// probes, and probe counts plus stage timings are reported into the obs
-// recorder carried by the context (one is created when absent, so
-// Result.Stats is always populated).
-func MinTcCtx(ctx context.Context, c *core.Circuit, opts core.Options) (*Result, error) {
+// MinTcCtx runs the NRIP reconstruction on the snapshot behind ov,
+// with path delays read through the overlay. The tolerance of the
+// borrowing bisection is 1e-9 relative to the edge-triggered cycle
+// time. The context is honored inside the edge-triggered LP solve and
+// between borrowing probes, and probe counts plus stage timings are
+// reported into the obs recorder carried by the context (one is
+// created when absent, so Result.Stats is always populated).
+func MinTcCtx(ctx context.Context, ov core.DelayOverlay, opts core.Options) (*Result, error) {
+	if !ov.Valid() {
+		return nil, errors.New("nrip: solve on a zero DelayOverlay (start from Circuit.Freeze)")
+	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if !opts.Objective.IsMinTc() {
 		return nil, fmt.Errorf("nrip: objective %s is not supported (min-Tc only)", opts.Objective)
 	}
+	c := ov.Base().Circuit()
 	rec := obs.From(ctx)
 	if rec == nil {
 		rec = obs.New()
@@ -85,7 +86,7 @@ func MinTcCtx(ctx context.Context, c *core.Circuit, opts core.Options) (*Result,
 	var et *ettf.Result
 	if err := rec.Phase(ctx, "edge-triggered", func(ctx context.Context) error {
 		var serr error
-		et, serr = ettf.MinTcCtx(ctx, c, opts)
+		et, serr = ettf.MinTcCtx(ctx, ov, opts)
 		return serr
 	}); err != nil {
 		if ctx.Err() != nil {
@@ -120,7 +121,7 @@ func MinTcCtx(ctx context.Context, c *core.Circuit, opts core.Options) (*Result,
 			}
 			res.Probes++
 			rec.Add(obs.Probes, 1)
-			an, err := core.CheckTc(c, scale(base, alpha, floors), opts)
+			an, err := core.CheckTcOverlay(ov, scale(base, alpha, floors), opts)
 			return err == nil && an.Feasible, nil
 		}
 		ok, err := feasibleAt(1)

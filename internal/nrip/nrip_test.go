@@ -1,6 +1,7 @@
 package nrip
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ func TestNRIPBracketsOptimum(t *testing.T) {
 	// borrowing gain.
 	for d41 := 0.0; d41 <= 140; d41 += 10 {
 		c := circuits.Example1(d41)
-		nr, err := MinTc(c, core.Options{})
+		nr, err := minTc(c, core.Options{})
 		if err != nil {
 			t.Fatalf("Δ41=%g: %v", d41, err)
 		}
@@ -34,7 +35,7 @@ func TestNRIPBracketsOptimum(t *testing.T) {
 func TestNRIPScheduleIsExactlyFeasible(t *testing.T) {
 	for _, d41 := range []float64{0, 60, 120} {
 		c := circuits.Example1(d41)
-		nr, err := MinTc(c, core.Options{})
+		nr, err := minTc(c, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +53,7 @@ func TestNRIPIsTight(t *testing.T) {
 	// Shrinking the NRIP result by 1% must fail the exact analysis —
 	// otherwise the bisection left slack on the table.
 	c := circuits.Example1(80)
-	nr, err := MinTc(c, core.Options{})
+	nr, err := minTc(c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestNRIPRandomCircuits(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 60; iter++ {
 		c := randomCircuit(rng)
-		nr, err := MinTc(c, core.Options{})
+		nr, err := minTc(c, core.Options{})
 		if err != nil {
 			continue // ettf infeasible or degenerate: skip
 		}
@@ -108,7 +109,7 @@ func TestGapHelper(t *testing.T) {
 
 func TestProbesRecorded(t *testing.T) {
 	c := circuits.Example1(80)
-	nr, err := MinTc(c, core.Options{})
+	nr, err := minTc(c, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,4 +136,13 @@ func randomCircuit(rng *rand.Rand) *core.Circuit {
 		c.AddPath(rng.Intn(l), rng.Intn(l), rng.Float64()*50)
 	}
 	return c
+}
+
+// minTc freezes c and solves its empty overlay.
+func minTc(c *core.Circuit, opts core.Options) (*Result, error) {
+	cc, err := c.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	return MinTcCtx(context.Background(), cc.Overlay(), opts)
 }

@@ -277,27 +277,13 @@ func (s *Server) countStatus(status int) {
 	}
 }
 
-// readFrame reads one length-prefixed request frame.
+// readFrame reads one request frame under the idle deadline.
 func readFrame(c net.Conn) (binRequest, error) {
 	var req binRequest
 	_ = c.SetReadDeadline(time.Now().Add(binIdleTimeout))
-	var hdr [4]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
-		return req, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrameBytes {
-		return req, fmt.Errorf("serve: frame length %d out of range (0, %d]", n, maxFrameBytes)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c, buf); err != nil {
-		return req, err
-	}
+	err := DecodeFrame(c, &req)
 	_ = c.SetReadDeadline(time.Time{})
-	if err := json.Unmarshal(buf, &req); err != nil {
-		return req, fmt.Errorf("serve: malformed frame: %w", err)
-	}
-	return req, nil
+	return req, err
 }
 
 // writeFrame writes one length-prefixed response frame under the
@@ -349,8 +335,10 @@ func EncodeFrame(w io.Writer, payload any) error {
 	return err
 }
 
-// DecodeFrame reads one length-prefixed payload — the client-side
-// frame decoder.
+// DecodeFrame reads one length-prefixed payload into v — the one frame
+// decoder, used by the server for requests and by clients for
+// responses. A length of 0 or above the frame cap is rejected from the
+// header alone, before the payload buffer is allocated.
 func DecodeFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -364,5 +352,8 @@ func DecodeFrame(r io.Reader, v any) error {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return err
 	}
-	return json.Unmarshal(buf, v)
+	if err := json.Unmarshal(buf, v); err != nil {
+		return fmt.Errorf("serve: malformed frame: %w", err)
+	}
+	return nil
 }

@@ -148,7 +148,11 @@ type EdgeTriggeredResult = ettf.Result
 // edge-triggered approximation (no time borrowing): an upper bound on
 // the true optimum, used as a baseline in the paper's comparisons.
 func MinTcEdgeTriggered(c *Circuit, opts Options) (*EdgeTriggeredResult, error) {
-	return ettf.MinTc(c, opts)
+	cc, err := c.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	return ettf.MinTcCtx(context.Background(), cc.Overlay(), opts)
 }
 
 // NRIPResult is the outcome of the NRIP baseline reconstruction.
@@ -157,7 +161,13 @@ type NRIPResult = nrip.Result
 // MinTcNRIP runs the reconstruction of Dagenais & Rumin's NRIP
 // heuristic (edge-triggered schedule shape plus one borrowing pass),
 // the baseline of the paper's Figs. 6, 7 and 9.
-func MinTcNRIP(c *Circuit, opts Options) (*NRIPResult, error) { return nrip.MinTc(c, opts) }
+func MinTcNRIP(c *Circuit, opts Options) (*NRIPResult, error) {
+	cc, err := c.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	return nrip.MinTcCtx(context.Background(), cc.Overlay(), opts)
+}
 
 // FrequencySearchResult is the outcome of the Agrawal-style search.
 type FrequencySearchResult = agrawal.Result
@@ -168,7 +178,11 @@ type FrequencySearchResult = agrawal.Result
 // symmetric clock shape with the given duty factor, using the exact
 // analysis for feasibility. Always an upper bound on MinTc's optimum.
 func MinTcFrequencySearch(c *Circuit, duty, tol float64) (*FrequencySearchResult, error) {
-	return agrawal.MinTc(c, duty, tol)
+	cc, err := c.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	return agrawal.MinTc(cc.Overlay(), duty, tol)
 }
 
 // MCRSolver is a reusable min-cycle-ratio engine: compile once, update
@@ -178,7 +192,11 @@ type MCRSolver = mcr.Solver
 
 // NewMCRSolver compiles a circuit for repeated min-cycle-ratio solves.
 func NewMCRSolver(c *Circuit, opts Options) (*MCRSolver, error) {
-	return mcr.NewSolver(c, opts)
+	cc, err := c.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	return mcr.NewSolverOverlay(cc.Overlay(), opts)
 }
 
 // Loop is one structural loop of the circuit with its cycle-ratio
