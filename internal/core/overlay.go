@@ -228,9 +228,9 @@ func (o DelayOverlay) Materialize() *Circuit {
 // the mcr constraint graph read it.
 func (o DelayOverlay) ArcWeight(opts Options, pidx int) float64 {
 	c := o.base.c
-	p := c.paths[pidx]
-	pj, pi := c.syncs[p.From].Phase, c.syncs[p.To].Phase
-	return c.syncs[p.From].DQ + o.Delay(pidx) + opts.Skew + opts.sigma(pj) + opts.sigma(pi)
+	p := &c.paths[pidx]
+	from := &c.syncs[p.From]
+	return from.DQ + o.Delay(pidx) + opts.Skew + opts.sigma(from.Phase) + opts.sigma(c.syncs[p.To].Phase)
 }
 
 // circuitView returns the zero overlay over an unfrozen builder

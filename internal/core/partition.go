@@ -7,9 +7,9 @@ import (
 )
 
 // Partition is the latch-graph SCC decomposition of a frozen circuit,
-// computed once at Freeze time: synchronizers are nodes, combinational
-// paths are directed arcs, and Tarjan's algorithm condenses the graph
-// into strongly connected components. The decomposed solvers
+// computed once per snapshot on first use: synchronizers are nodes,
+// combinational paths are directed arcs, and Tarjan's algorithm splits
+// the graph into strongly connected components. The decomposed solvers
 // (internal/decomp) use it to split the constraint system into
 // per-component subproblems — every cycle of the latch graph lies
 // inside exactly one component, so each component's subsystem optimum
@@ -23,54 +23,61 @@ import (
 // order Tarjan emits. All returned slices are shared and read-only,
 // like every other Compiled accessor.
 type Partition struct {
-	comps    [][]int32 // members per component, sorted ascending
-	comp     []int32   // synchronizer -> component
-	pathComp []int32   // path -> component, or -1 for a cross-component arc
-	dag      [][]int32 // condensation adjacency (distinct successors, ascending)
-	cyclic   []bool    // component contains at least one intra-component path
-	cross    []int32   // indices of cross-component paths, ascending
+	members   []int32 // synchronizers grouped by component, each group ascending
+	compStart []int32 // component ci's members are members[compStart[ci]:compStart[ci+1]]
+	comp      []int32 // synchronizer -> component
+	pathComp  []int32 // path -> component, or -1 for a cross-component arc
+	cyclic    []bool  // component contains at least one intra-component path
+	cross     []int32 // indices of cross-component paths, ascending
 }
 
-// newPartition condenses the latch graph of c.
+// newPartition runs Tarjan's algorithm (graph.SCCCSR) over the latch
+// graph of c, laid out as an out-CSR in path order — the arc order the
+// numbering depends on — with every buffer sized up front.
 func newPartition(c *Circuit) *Partition {
 	l := c.L()
-	g := graph.New(l)
-	for _, p := range c.Paths() {
-		g.AddEdge(p.From, p.To, 0)
+	paths := c.Paths()
+	start := make([]int32, l+1)
+	for i := range paths {
+		start[paths[i].From+1]++
 	}
-	components, comp, dag := g.Condense()
+	for v := 0; v < l; v++ {
+		start[v+1] += start[v]
+	}
+	adj := make([]int32, len(paths))
+	for i := range paths {
+		v := paths[i].From
+		adj[start[v]] = int32(paths[i].To)
+		start[v]++
+	}
+	// The fill advanced each row start to the next row's; shift back.
+	copy(start[1:], start[:l])
+	start[0] = 0
+	comp, members, compStart := graph.SCCCSR(start, adj)
 	pt := &Partition{
-		comps:  make([][]int32, len(components)),
-		comp:   make([]int32, l),
-		dag:    make([][]int32, len(dag)),
-		cyclic: make([]bool, len(components)),
+		members:   members,
+		compStart: compStart,
+		comp:      comp,
+		pathComp:  make([]int32, len(paths)),
+		cyclic:    make([]bool, len(compStart)-1),
 	}
-	for ci, members := range components {
-		ms := make([]int32, len(members))
-		for i, v := range members {
-			ms[i] = int32(v)
-		}
-		pt.comps[ci] = ms
-	}
-	for v, ci := range comp {
-		pt.comp[v] = int32(ci)
-	}
-	for ci, succs := range dag {
-		ds := make([]int32, len(succs))
-		for i, d := range succs {
-			ds[i] = int32(d)
-		}
-		pt.dag[ci] = ds
-	}
-	pt.pathComp = make([]int32, len(c.Paths()))
-	for pidx, p := range c.Paths() {
-		if comp[p.From] == comp[p.To] {
-			ci := comp[p.From]
-			pt.pathComp[pidx] = int32(ci)
+	ncross := 0
+	for pidx := range paths {
+		ci := comp[paths[pidx].From]
+		if ci == comp[paths[pidx].To] {
+			pt.pathComp[pidx] = ci
 			pt.cyclic[ci] = true
 		} else {
 			pt.pathComp[pidx] = -1
-			pt.cross = append(pt.cross, int32(pidx))
+			ncross++
+		}
+	}
+	if ncross > 0 {
+		pt.cross = make([]int32, 0, ncross)
+		for pidx, ci := range pt.pathComp {
+			if ci < 0 {
+				pt.cross = append(pt.cross, int32(pidx))
+			}
 		}
 	}
 	return pt
@@ -78,11 +85,14 @@ func newPartition(c *Circuit) *Partition {
 
 // NumComponents returns the number of strongly connected components of
 // the latch graph.
-func (pt *Partition) NumComponents() int { return len(pt.comps) }
+func (pt *Partition) NumComponents() int { return len(pt.compStart) - 1 }
 
 // Members returns the synchronizer indices of component ci, sorted
 // ascending. Shared; read-only.
-func (pt *Partition) Members(ci int) []int32 { return pt.comps[ci] }
+func (pt *Partition) Members(ci int) []int32 {
+	lo, hi := pt.compStart[ci], pt.compStart[ci+1]
+	return pt.members[lo:hi:hi]
+}
 
 // CompOf returns the component of synchronizer i.
 func (pt *Partition) CompOf(i int) int { return int(pt.comp[i]) }
@@ -105,13 +115,8 @@ func (pt *Partition) Cyclic(ci int) bool { return pt.cyclic[ci] }
 // no self-loop path — the shape the decomposed solver answers with a
 // closed-form bound instead of an LP or a probe.
 func (pt *Partition) Trivial(ci int) bool {
-	return len(pt.comps[ci]) == 1 && !pt.cyclic[ci]
+	return pt.compStart[ci+1]-pt.compStart[ci] == 1 && !pt.cyclic[ci]
 }
-
-// Successors returns the condensation-DAG successors of component ci
-// (distinct, ascending; always numerically smaller than ci because
-// components are in reverse topological order). Shared; read-only.
-func (pt *Partition) Successors(ci int) []int32 { return pt.dag[ci] }
 
 // Partition returns the snapshot's latch-graph SCC decomposition,
 // computed on the first call (from any goroutine). Shared; read-only.

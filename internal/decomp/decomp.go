@@ -36,6 +36,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mintc/internal/core"
 	"mintc/internal/mcr"
@@ -100,7 +101,9 @@ type Result struct {
 // compAnswer is one component subproblem's outcome: the subsystem
 // optimum and, when a ratio-bearing cycle binds it, the witness cycle
 // (whose node names are shared with the full constraint graph, so it
-// certifies the global answer whenever the candidate wins).
+// certifies the global answer whenever the candidate wins). A
+// closed-form singleton carries no arcs; Solve synthesizes its setup
+// loop when it binds.
 type compAnswer struct {
 	tc    float64
 	ratio float64
@@ -137,7 +140,12 @@ func Solve(ctx context.Context, ov core.DelayOverlay, opts core.Options, cfg Con
 	rounds0 := rec.Get(obs.ProbeRounds)
 	par0 := rec.Get(obs.ProbeParallelRounds)
 	warm0 := rec.Get(obs.WarmPotentialHits)
+	// The partition is computed on the snapshot's first decomposed
+	// solve and shared after that; its own stage keeps that first-use
+	// cost out of the unattributed engine time.
+	t0 := time.Now()
 	pt := cc.Partition()
+	rec.AddStage("decomp.partition", time.Since(t0))
 	nc := pt.NumComponents()
 	rec.Add(obs.ComponentsTotal, int64(nc))
 
@@ -182,14 +190,21 @@ func Solve(ctx context.Context, ov core.DelayOverlay, opts core.Options, cfg Con
 		res.Probes = gres.Probes
 		res.CriticalArcs = gres.CriticalArcs
 		res.CriticalRatio = gres.CriticalRatio
-		if len(res.CriticalArcs) == 0 && arg >= 0 && len(answers[arg].arcs) > 0 &&
-			ratioMatches(answers[arg].ratio, res.Tc) {
+		if len(res.CriticalArcs) == 0 && arg >= 0 && ratioMatches(answers[arg].ratio, res.Tc) {
 			// The candidate was certified on the first probe, so the
 			// global phase never saw a witness — but the binding
 			// component's cycle is one: its arcs are constraints of the
-			// full graph and its ratio equals the answer.
-			res.CriticalArcs = answers[arg].arcs
-			res.CriticalRatio = answers[arg].ratio
+			// full graph and its ratio equals the answer. A closed-form
+			// singleton's setup loop is synthesized only here, for the
+			// one component that binds.
+			arcs := answers[arg].arcs
+			if pt.Trivial(arg) {
+				arcs = trivialWitness(cc.Circuit(), int(pt.Members(arg)[0]), answers[arg].tc)
+			}
+			if len(arcs) > 0 {
+				res.CriticalArcs = arcs
+				res.CriticalRatio = answers[arg].ratio
+			}
 		}
 		return nil
 	})
@@ -354,14 +369,10 @@ func solveComponent(ctx context.Context, ov core.DelayOverlay, opts core.Options
 	pt := cc.Partition()
 	if pt.Trivial(ci) {
 		// Closed form: no intra-component arc means no delay
-		// dependence, so neither caching nor solving is worth it.
-		sync := int(pt.Members(ci)[0])
-		tc := core.TrivialComponentBound(c, opts, sync)
-		ans = compAnswer{tc: tc, ratio: tc}
-		if tc > 0 {
-			ans.arcs = trivialWitness(c, sync, tc)
-		}
-		return ans, false, nil
+		// dependence, so neither caching nor solving is worth it. The
+		// witness is synthesized by Solve if this component binds.
+		tc := core.TrivialComponentBound(c, opts, int(pt.Members(ci)[0]))
+		return compAnswer{tc: tc, ratio: tc}, false, nil
 	}
 	dig := ov.ComponentDigest(ci)
 	if st != nil {

@@ -3,6 +3,7 @@ package decomp
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"mintc/internal/core"
@@ -235,5 +236,38 @@ func TestTrivialFastPath(t *testing.T) {
 	}
 	if d := relDiff(res.Tc, ref.Tc); d > 1e-9 {
 		t.Errorf("Tc mismatch: decomp %.12g vs mcr %.12g", res.Tc, ref.Tc)
+	}
+}
+
+// TestTrivialBindingWitness: when a closed-form singleton's setup loop
+// binds, the global phase certifies the candidate on its first probe
+// and finds no witness of its own, so the answer's critical cycle is
+// the setup loop Solve synthesizes for that one component:
+// u → e (A = Setup) → s (B = −1) → u, closed, of ratio Tc.
+func TestTrivialBindingWitness(t *testing.T) {
+	c := core.NewCircuit(2)
+	c.AddLatch("slow", 0, 7, 8)
+	c.AddLatch("a", 1, 1, 2)
+	c.AddLatch("b", 0, 1, 2)
+	c.AddPath(1, 2, 1)
+	cc, err := c.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Solve(context.Background(), cc.Overlay(), core.Options{}, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tc != 7 || res.FastPaths != res.Components {
+		t.Fatalf("Tc = %v with %d of %d components closed-form; want 7 from the setup loop of %q, all closed-form",
+			res.Tc, res.FastPaths, res.Components, "slow")
+	}
+	want := []mcr.CycleArc{
+		{From: "u.slow", To: "e.phi1", A: 7, B: 0},
+		{From: "e.phi1", To: "s.phi1", A: 0, B: -1},
+		{From: "s.phi1", To: "u.slow", A: 0, B: 0},
+	}
+	if !reflect.DeepEqual(res.CriticalArcs, want) || res.CriticalRatio != 7 {
+		t.Fatalf("critical cycle %+v (ratio %v), want the setup loop %+v", res.CriticalArcs, res.CriticalRatio, want)
 	}
 }

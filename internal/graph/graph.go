@@ -11,7 +11,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Edge is a weighted directed edge from From to To.
@@ -21,8 +21,7 @@ type Edge struct {
 }
 
 // Graph is a directed multigraph over nodes 0..N-1.
-// The zero value is an empty graph with no nodes; use New or AddNode to
-// grow it.
+// The zero value is an empty graph with no nodes; use New.
 type Graph struct {
 	n   int
 	out [][]Edge
@@ -39,13 +38,6 @@ func New(n int) *Graph {
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
-// AddNode appends a new node and returns its index.
-func (g *Graph) AddNode() int {
-	g.out = append(g.out, nil)
-	g.n++
-	return g.n - 1
-}
-
 // AddEdge adds a directed edge from u to v with weight w.
 // Parallel edges and self-loops are allowed.
 func (g *Graph) AddEdge(u, v int, w float64) {
@@ -61,138 +53,131 @@ func (g *Graph) Out(u int) []Edge {
 	return g.out[u]
 }
 
-// Edges returns all edges in insertion order grouped by source node.
-func (g *Graph) Edges() []Edge {
-	var all []Edge
-	for _, es := range g.out {
-		all = append(all, es...)
-	}
-	return all
-}
-
-// NumEdges returns the total number of edges.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, es := range g.out {
-		n += len(es)
-	}
-	return n
-}
-
 func (g *Graph) check(u int) {
 	if u < 0 || u >= g.n {
 		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", u, g.n))
 	}
 }
 
-// SCC computes the strongly connected components using Tarjan's
-// algorithm (iterative, so deep graphs do not overflow the stack).
-// Components are returned in reverse topological order (a component
-// appears before any component it can reach... specifically Tarjan
-// emits components in reverse topological order of the condensation).
-// comp maps each node to its component index in the returned slice.
+// SCC computes the strongly connected components with SCCCSR over the
+// graph's out-arcs in insertion order. comp maps each node to its
+// component index in the returned slice; each component's nodes are
+// sorted ascending.
 func (g *Graph) SCC() (components [][]int, comp []int) {
-	const unvisited = -1
-	index := make([]int, g.n)
-	low := make([]int, g.n)
-	onStack := make([]bool, g.n)
+	start := make([]int32, g.n+1)
+	for u, es := range g.out {
+		start[u+1] = start[u] + int32(len(es))
+	}
+	adj := make([]int32, start[g.n])
+	for u, es := range g.out {
+		for i, e := range es {
+			adj[int(start[u])+i] = int32(e.To)
+		}
+	}
+	comp32, members, compStart := SCCCSR(start, adj)
+	components = make([][]int, len(compStart)-1)
+	for ci := range components {
+		ms := members[compStart[ci]:compStart[ci+1]]
+		c := make([]int, len(ms))
+		for i, v := range ms {
+			c[i] = int(v)
+		}
+		components[ci] = c
+	}
 	comp = make([]int, g.n)
+	for v, ci := range comp32 {
+		comp[v] = int(ci)
+	}
+	return components, comp
+}
+
+// SCCCSR computes the strongly connected components of the graph whose
+// out-arcs are given in CSR form — node v's successors are
+// adj[start[v]:start[v+1]] — with Tarjan's algorithm, iteratively so
+// deep graphs do not overflow the stack. Roots are tried in node order
+// and each node's arcs in CSR order, so the numbering is a pure
+// function of the CSR. Components come out in Tarjan's emission order,
+// the reverse topological order of the condensation (a component
+// appears before every component that can reach it). comp maps each
+// node to its component; component c's nodes are
+// members[compStart[c]:compStart[c+1]], sorted ascending. Every
+// buffer is sized up front, so the call allocates a fixed number of
+// objects whatever the graph.
+func SCCCSR(start, adj []int32) (comp, members, compStart []int32) {
+	n := len(start) - 1
+	index := make([]int32, n) // DFS discovery order, -1 until visited
+	low := make([]int32, n)
+	comp = make([]int32, n)
 	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
+		index[i] = -1
+		comp[i] = -1
 	}
-	var stack []int
-	next := 0
-
+	members = make([]int32, 0, n)
+	compStart = make([]int32, 1, n+1)
+	// A visited node is on Tarjan's stack exactly until its component
+	// is emitted, i.e. while comp is still -1.
+	stack := make([]int32, 0, n)
 	type frame struct {
-		v  int
-		ei int // next out-edge index to consider
+		v    int32
+		next int32 // CSR position of the next out-arc to consider
 	}
-	var frames []frame
-
-	for root := 0; root < g.n; root++ {
-		if index[root] != unvisited {
+	frames := make([]frame, 0, n)
+	var counter int32
+	visit := func(v int32) {
+		index[v], low[v] = counter, counter
+		counter++
+		stack = append(stack, v)
+		frames = append(frames, frame{v: v, next: start[v]})
+	}
+	for root := int32(0); int(root) < n; root++ {
+		if index[root] >= 0 {
 			continue
 		}
-		frames = append(frames[:0], frame{v: root})
+		visit(root)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			v := f.v
-			if f.ei == 0 {
-				index[v] = next
-				low[v] = next
-				next++
-				stack = append(stack, v)
-				onStack[v] = true
-			}
-			advanced := false
-			for f.ei < len(g.out[v]) {
-				w := g.out[v][f.ei].To
-				f.ei++
-				if index[w] == unvisited {
-					frames = append(frames, frame{v: w})
-					advanced = true
+			descended := false
+			for f.next < start[v+1] {
+				w := adj[f.next]
+				f.next++
+				if index[w] < 0 {
+					visit(w)
+					descended = true
 					break
 				}
-				if onStack[w] && index[w] < low[v] {
+				if comp[w] < 0 && index[w] < low[v] {
 					low[v] = index[w]
 				}
 			}
-			if advanced {
+			if descended {
 				continue
 			}
 			// v is finished.
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
-				p := frames[len(frames)-1].v
-				if low[v] < low[p] {
+				if p := frames[len(frames)-1].v; low[v] < low[p] {
 					low[p] = low[v]
 				}
 			}
 			if low[v] == index[v] {
-				var c []int
+				ci := int32(len(compStart) - 1)
+				lo := len(members)
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = len(components)
-					c = append(c, w)
+					comp[w] = ci
+					members = append(members, w)
 					if w == v {
 						break
 					}
 				}
-				sort.Ints(c)
-				components = append(components, c)
+				slices.Sort(members[lo:])
+				compStart = append(compStart, int32(len(members)))
 			}
 		}
 	}
-	return components, comp
-}
-
-// Condense computes the SCC partition together with the condensation
-// DAG: dag[c] lists the distinct successor components of component c
-// (no self-edges, no duplicates, ascending). Components keep SCC's
-// reverse topological order, so every entry of dag[c] is < c.
-func (g *Graph) Condense() (components [][]int, comp []int, dag [][]int) {
-	components, comp = g.SCC()
-	dag = make([][]int, len(components))
-	seen := make([]int, len(components))
-	for i := range seen {
-		seen[i] = -1
-	}
-	for c := len(components) - 1; c >= 0; c-- {
-		for _, v := range components[c] {
-			for _, e := range g.out[v] {
-				d := comp[e.To]
-				if d != c && seen[d] != c {
-					seen[d] = c
-					dag[c] = append(dag[c], d)
-				}
-			}
-		}
-		sort.Ints(dag[c])
-	}
-	return components, comp, dag
+	return comp, members, compStart
 }
 
 // TopoSort returns a topological order of the nodes, or ok=false if the
@@ -354,34 +339,4 @@ func (g *Graph) LongestPathDAG(src int) []float64 {
 		}
 	}
 	return dist
-}
-
-// Transpose returns the graph with every edge reversed.
-func (g *Graph) Transpose() *Graph {
-	t := New(g.n)
-	for _, es := range g.out {
-		for _, e := range es {
-			t.AddEdge(e.To, e.From, e.Weight)
-		}
-	}
-	return t
-}
-
-// Reachable returns the set of nodes reachable from src (including src).
-func (g *Graph) Reachable(src int) []bool {
-	g.check(src)
-	seen := make([]bool, g.n)
-	stack := []int{src}
-	seen[src] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.out[u] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return seen
 }

@@ -3,21 +3,9 @@ package graph
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 )
-
-func TestNewAndAddNode(t *testing.T) {
-	g := New(3)
-	if g.N() != 3 {
-		t.Fatalf("N() = %d, want 3", g.N())
-	}
-	id := g.AddNode()
-	if id != 3 || g.N() != 4 {
-		t.Fatalf("AddNode() = %d, N() = %d; want 3, 4", id, g.N())
-	}
-}
 
 func TestNewNegativePanics(t *testing.T) {
 	defer func() {
@@ -38,22 +26,6 @@ func TestAddEdgeOutOfRangePanics(t *testing.T) {
 	g.AddEdge(0, 5, 1)
 }
 
-func TestEdgesAndNumEdges(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 2)
-	g.AddEdge(0, 1, 3) // parallel edge
-	if g.NumEdges() != 3 {
-		t.Fatalf("NumEdges = %d, want 3", g.NumEdges())
-	}
-	if len(g.Edges()) != 3 {
-		t.Fatalf("len(Edges) = %d, want 3", len(g.Edges()))
-	}
-	if len(g.Out(0)) != 2 {
-		t.Fatalf("len(Out(0)) = %d, want 2", len(g.Out(0)))
-	}
-}
-
 func TestTopoSortDAG(t *testing.T) {
 	g := New(5)
 	g.AddEdge(0, 1, 0)
@@ -69,7 +41,7 @@ func TestTopoSortDAG(t *testing.T) {
 	for i, v := range order {
 		pos[v] = i
 	}
-	for _, e := range g.Edges() {
+	for _, e := range allEdges(g) {
 		if pos[e.From] >= pos[e.To] {
 			t.Errorf("edge %d->%d violates topological order", e.From, e.To)
 		}
@@ -131,12 +103,40 @@ func TestSCCAllSingletons(t *testing.T) {
 	}
 }
 
+// reachable returns the set of nodes reachable from src (including
+// src), by depth-first search.
+func reachable(g *Graph, src int) []bool {
+	seen := make([]bool, g.N())
+	stack := []int{src}
+	seen[src] = true
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range g.Out(u) {
+			if !seen[e.To] {
+				seen[e.To] = true
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	return seen
+}
+
+// allEdges lists every edge, grouped by source node in insertion order.
+func allEdges(g *Graph) []Edge {
+	var all []Edge
+	for u := 0; u < g.N(); u++ {
+		all = append(all, g.Out(u)...)
+	}
+	return all
+}
+
 // naiveSCC checks mutual reachability directly.
 func naiveSCC(g *Graph) []int {
 	n := g.N()
 	reach := make([][]bool, n)
 	for i := 0; i < n; i++ {
-		reach[i] = g.Reachable(i)
+		reach[i] = reachable(g, i)
 	}
 	comp := make([]int, n)
 	for i := range comp {
@@ -298,30 +298,6 @@ func TestLongestPathDAGPanicsOnCycle(t *testing.T) {
 		}
 	}()
 	g.LongestPathDAG(0)
-}
-
-func TestTranspose(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(1, 2, 3)
-	tg := g.Transpose()
-	es := tg.Edges()
-	sort.Slice(es, func(i, j int) bool { return es[i].From < es[j].From })
-	want := []Edge{{From: 1, To: 0, Weight: 2}, {From: 2, To: 1, Weight: 3}}
-	if !reflect.DeepEqual(es, want) {
-		t.Errorf("Transpose edges = %v, want %v", es, want)
-	}
-}
-
-func TestReachable(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(1, 2, 0)
-	r := g.Reachable(0)
-	want := []bool{true, true, true, false}
-	if !reflect.DeepEqual(r, want) {
-		t.Errorf("Reachable = %v, want %v", r, want)
-	}
 }
 
 func TestSimpleCyclesTriangleAndSelfLoop(t *testing.T) {

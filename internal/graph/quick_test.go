@@ -64,7 +64,7 @@ func TestQuickTopoOrderRespectsEdges(t *testing.T) {
 			for i, v := range order {
 				pos[v] = i
 			}
-			for _, e := range g.Edges() {
+			for _, e := range allEdges(g) {
 				if pos[e.From] >= pos[e.To] {
 					return false
 				}
@@ -78,7 +78,7 @@ func TestQuickTopoOrderRespectsEdges(t *testing.T) {
 				return true
 			}
 		}
-		for _, e := range g.Edges() {
+		for _, e := range allEdges(g) {
 			if e.From == e.To {
 				return true
 			}
@@ -118,7 +118,7 @@ func longestPathFixpoint(seed int64) bool {
 		}
 		return sum > -1e-9
 	}
-	for _, e := range g.Edges() {
+	for _, e := range allEdges(g) {
 		if math.IsInf(res.Dist[e.From], -1) {
 			continue
 		}

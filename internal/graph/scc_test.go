@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // checkPartition validates the SCC invariants every caller relies on:
 // comp is a total map consistent with components, members are sorted,
@@ -121,72 +118,5 @@ func TestSCCOneGiantCycle(t *testing.T) {
 	checkPartition(t, g, components, comp)
 	if len(components) != 1 || len(components[0]) != n {
 		t.Fatalf("want one %d-node component, got %d components", n, len(components))
-	}
-}
-
-// TestCondensationIsADAGRandom is the randomized property test: for
-// random digraphs, (1) the condensation contains no cycle, (2) every
-// cross-component edge appears in the DAG adjacency, (3) two nodes
-// share a component iff they reach each other.
-func TestCondensationIsADAGRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + rng.Intn(40)
-		g := New(n)
-		m := rng.Intn(3 * n)
-		for e := 0; e < m; e++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n), 1)
-		}
-		components, comp, dag := g.Condense()
-		checkPartition(t, g, components, comp)
-
-		// (1) The condensation, viewed as a graph, must be acyclic.
-		cg := New(len(components))
-		for c, succs := range dag {
-			for i, d := range succs {
-				if d == c {
-					t.Fatalf("trial %d: condensation has self-edge at %d", trial, c)
-				}
-				if i > 0 && succs[i-1] >= d {
-					t.Fatalf("trial %d: dag[%d] not sorted unique: %v", trial, c, succs)
-				}
-				cg.AddEdge(c, d, 1)
-			}
-		}
-		if cg.HasCycle() {
-			t.Fatalf("trial %d: condensation contains a cycle", trial)
-		}
-
-		// (2) Every cross-component edge is represented in the DAG.
-		inDag := func(c, d int) bool {
-			for _, x := range dag[c] {
-				if x == d {
-					return true
-				}
-			}
-			return false
-		}
-		for u := 0; u < n; u++ {
-			for _, e := range g.Out(u) {
-				if comp[u] != comp[e.To] && !inDag(comp[u], comp[e.To]) {
-					t.Fatalf("trial %d: cross edge %d->%d missing from condensation", trial, u, e.To)
-				}
-			}
-		}
-
-		// (3) Mutual reachability against the naive oracle.
-		reach := make([][]bool, n)
-		for v := 0; v < n; v++ {
-			reach[v] = g.Reachable(v)
-		}
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				mutual := reach[u][v] && reach[v][u]
-				if mutual != (comp[u] == comp[v]) {
-					t.Fatalf("trial %d: nodes %d,%d mutual=%v but comp %d,%d",
-						trial, u, v, mutual, comp[u], comp[v])
-				}
-			}
-		}
 	}
 }

@@ -31,12 +31,7 @@ func NewComponentSolver(ov core.DelayOverlay, opts core.Options, members []int32
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	c := ov.Base().Circuit()
-	inComp := make([]bool, c.L())
-	for _, m := range members {
-		inComp[m] = true
-	}
-	return newSolverOn(newBuilder(ov, opts, inComp), opts, ov), nil
+	return newSolverOn(newBuilder(ov, opts, members), opts, ov), nil
 }
 
 // SolveFromCtx runs the witness-jumping loop starting from a

@@ -70,7 +70,7 @@ func (b *builder) howard(ctx context.Context) (ratio float64, cyc []int32, stabl
 			for v := h.head[top]; ; {
 				ei := h.pol[v]
 				h.best = append(h.best, ei)
-				if v = int32(b.edges[ei].from); v == h.head[top] {
+				if v = b.edges[ei].from; v == h.head[top] {
 					break
 				}
 			}
@@ -106,7 +106,7 @@ func (b *builder) ensureHoward() *howardScratch {
 func (b *builder) howardEval() {
 	h := &b.how
 	ep := b.bumpEpoch()
-	gen, pos := b.wgen, b.wpos
+	gen, pos := b.wgen, b.walkPos()
 	const onWalk = -2
 	h.ratio, h.head = h.ratio[:0], h.head[:0]
 	for s := 0; s < b.n; s++ {
@@ -123,7 +123,7 @@ func (b *builder) howardEval() {
 			if ei := h.pol[v]; ei < 0 {
 				v = -1
 			} else {
-				v = int32(b.edges[ei].from)
+				v = b.edges[ei].from
 			}
 		}
 		cls := int32(-1)

@@ -38,38 +38,54 @@ import (
 	"mintc/internal/obs"
 )
 
-// node ids inside the constraint graph.
+// builder is one difference-constraint graph and its probe scratch.
+// Node ids are fixed by layout: the origin is 0, phase p's start and
+// end are 1+2p and 2+2p, and the departure nodes follow from 1+2k in
+// increasing synchronizer order. Node names are rendered from the id
+// on demand (nodeName), so a build allocates no string per node.
 type builder struct {
 	c     *core.Circuit
 	opts  core.Options
 	n     int
 	edges []edge
 	// node index helpers
-	z     int
-	s     []int
-	e     []int
-	u     []int
-	names []string
+	z int
+	s []int
+	e []int
+	u []int // synchronizer -> departure node, or -1 outside the subsystem
+	// uSync maps departure node 1+2k+j to its synchronizer (nil on a
+	// full graph, where that is synchronizer j).
+	uSync []int32
 	// pathEdge[p] is the index of the constraint edge carrying path
 	// p's worst-case delay (for incremental delay updates).
-	pathEdge []int
+	pathEdge []int32
 	// holdEdge[p] is the index of path p's conservative hold edge, or
 	// -1 (no DesignForHold, Hold <= 0, or path excluded). Solver's
 	// SetDelay repairs it alongside pathEdge, since the hold constant
 	// carries the MinDelay clamp min(MinDelay, delay).
-	holdEdge []int
+	holdEdge []int32
 
 	// Worklist-probe scratch, allocated on first probe and reused
 	// across probes and across Solver solves on the same builder. The
 	// CSR out-adjacency stays valid under SetDelay (edge endpoints
 	// never change, only the affine constants).
-	outStart []int32 // CSR row index into outEdge, len n+1
+	outStart []int32 // CSR row index into the out-order arrays, len n+1
 	outEdge  []int32 // edge indices grouped by source node
-	dist     []float64
-	pred     []int32  // predecessor edge index, or -1
-	inq      []uint64 // worklist-membership bitset, one bit per node
-	queue    []int32  // current-round worklist
-	queue2   []int32  // next-round worklist (swapped each round)
+	// Structure-of-arrays copy of the edges in out order: position a
+	// holds edge outEdge[a]'s head and constants, so a per-source
+	// relaxation streams three arrays instead of chasing outEdge into
+	// the edge list. setA keeps outA in step with edges under SetDelay;
+	// edgePos[ei] is edge ei's position.
+	outTo   []int32
+	outA    []float64
+	outB    []float64
+	edgePos []int32
+
+	dist   []float64
+	pred   []int32  // predecessor edge index, or -1
+	inq    []uint64 // worklist-membership bitset, one bit per node
+	queue  []int32  // current-round worklist
+	queue2 []int32  // next-round worklist (swapped each round)
 	// Epoch-stamped visit marks shared by bestWitness (walk ids) and
 	// probeDense's cycle extraction (path positions): a node is
 	// "visited" iff wgen[v] == wepoch, so clearing between calls is a
@@ -78,9 +94,12 @@ type builder struct {
 	wepoch uint32
 	wgen   []uint32
 	wmark  []int32 // bestWitness: id of the walk that visited the node
-	wpos   []int32 // probeDense: position of the node along the cycle walk
+	// Position of the node along a walk (probeDense's cycle extraction,
+	// howardEval), allocated by the first of them to run.
+	wpos []int32
 	// Dense-probe scratch (the reference fallback), kept separate from
-	// dist/pred so a fallback never corrupts the warm-start potentials.
+	// dist/pred so a fallback never corrupts the warm-start potentials;
+	// allocated on the first fallback.
 	ddist []float64
 	dpred []int32
 	// distValid reports that dist holds finite potentials from a
@@ -117,7 +136,7 @@ type builder struct {
 
 // edge encodes the difference constraint x[to] >= x[from] + a + b*Tc.
 type edge struct {
-	from, to int
+	from, to int32
 	a, b     float64
 }
 
@@ -184,39 +203,73 @@ const eps = 1e-9
 // newBuilder assembles the difference-constraint graph of the
 // snapshot behind ov, shared by the full solver and the decomposed
 // per-component solvers: path delays are read through the overlay,
-// and an optional membership mask restricts the system to a subset of
+// and an optional member list restricts the system to a subset of
 // synchronizers — only member syncs get departure nodes and rows, and
 // only paths with both endpoints in the subset get constraint edges
 // (clock rows are always emitted; they are shared by every subsystem).
-// pathEdge[p] is -1 for excluded paths.
-func newBuilder(ov core.DelayOverlay, opts core.Options, inComp []bool) *builder {
-	c := ov.Base().Circuit()
+// members == nil selects every synchronizer. pathEdge[p] is -1 for
+// excluded paths. The edge list is sized exactly before it is filled.
+func newBuilder(ov core.DelayOverlay, opts core.Options, members []int32) *builder {
+	cc := ov.Base()
+	c := cc.Circuit()
 	k, l := c.K(), c.L()
-	b := &builder{c: c, opts: opts}
-	alloc := func(name string) int {
-		id := b.n
-		b.n++
-		b.names = append(b.names, name)
-		return id
-	}
-	member := func(i int) bool { return inComp == nil || inComp[i] }
-	b.z = alloc("origin")
+	syncs, paths := c.Syncs(), c.Paths()
+	b := &builder{c: c, opts: opts, z: 0, n: 1 + 2*k}
 	b.s = make([]int, k)
 	b.e = make([]int, k)
 	for p := 0; p < k; p++ {
-		b.s[p] = alloc("s." + c.PhaseName(p))
-		b.e[p] = alloc("e." + c.PhaseName(p))
+		b.s[p] = 1 + 2*p
+		b.e[p] = 2 + 2*p
 	}
 	b.u = make([]int, l)
-	for i := 0; i < l; i++ {
-		if member(i) {
-			b.u[i] = alloc("u." + c.SyncName(i))
-		} else {
+	if members == nil {
+		for i := range b.u {
+			b.u[i] = b.n
+			b.n++
+		}
+	} else {
+		// Mark the members, then number them in synchronizer order
+		// whatever the order of the list.
+		for i := range b.u {
 			b.u[i] = -1
 		}
+		for _, m := range members {
+			b.u[m] = 0
+		}
+		b.uSync = make([]int32, 0, len(members))
+		for i := range b.u {
+			if b.u[i] == 0 {
+				b.u[i] = b.n
+				b.n++
+				b.uSync = append(b.uSync, int32(i))
+			}
+		}
 	}
+	nu := b.n - (1 + 2*k)
+
+	km := cc.KMatrix()
+	cm := cc.CMatrix()
+	nedges := 4*k + max(k-1, 0) + 2*nu
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			if km[i][j] != 0 {
+				nedges++
+			}
+		}
+	}
+	for pidx := range paths {
+		j, i := paths[pidx].From, paths[pidx].To
+		if b.u[j] < 0 || b.u[i] < 0 {
+			continue
+		}
+		nedges++
+		if opts.DesignForHold && syncs[i].Hold > 0 {
+			nedges++
+		}
+	}
+	b.edges = make([]edge, 0, nedges)
 	add := func(from, to int, a, bTc float64) {
-		b.edges = append(b.edges, edge{from: from, to: to, a: a, b: bTc})
+		b.edges = append(b.edges, edge{from: int32(from), to: int32(to), a: a, b: bTc})
 	}
 
 	for p := 0; p < k; p++ {
@@ -232,8 +285,6 @@ func newBuilder(ov core.DelayOverlay, opts core.Options, inComp []bool) *builder
 		add(b.s[p], b.s[p+1], 0, 0)
 	}
 	// C3 nonoverlap per K pair: s_i >= e_j − C_ji·Tc (+ separation).
-	km := c.KMatrix()
-	cm := c.CMatrix()
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
 			if km[i][j] == 0 {
@@ -242,10 +293,11 @@ func newBuilder(ov core.DelayOverlay, opts core.Options, inComp []bool) *builder
 			add(b.e[j], b.s[i], opts.MinSeparation+sigma(opts, i)+sigma(opts, j), -float64(cm[j][i]))
 		}
 	}
-	for i, sy := range c.Syncs() {
-		if !member(i) {
+	for i := range syncs {
+		if b.u[i] < 0 {
 			continue
 		}
+		sy := &syncs[i]
 		p := sy.Phase
 		// L3: u_i >= s_p.
 		add(b.s[p], b.u[i], 0, 0)
@@ -258,18 +310,17 @@ func newBuilder(ov core.DelayOverlay, opts core.Options, inComp []bool) *builder
 			add(b.u[i], b.s[p], 0, 0)
 		}
 	}
-	b.pathEdge = make([]int, len(c.Paths()))
-	b.holdEdge = make([]int, len(c.Paths()))
-	for pidx := range b.holdEdge {
+	b.pathEdge = make([]int32, len(paths))
+	b.holdEdge = make([]int32, len(paths))
+	for pidx := range paths {
 		b.holdEdge[pidx] = -1
-	}
-	for pidx, path := range c.Paths() {
-		j, i := path.From, path.To
-		if !member(j) || !member(i) {
+		j, i := paths[pidx].From, paths[pidx].To
+		if b.u[j] < 0 || b.u[i] < 0 {
 			b.pathEdge[pidx] = -1
 			continue
 		}
-		pj, pi := c.Sync(j).Phase, c.Sync(i).Phase
+		sj, si := &syncs[j], &syncs[i]
+		pj, pi := sj.Phase, si.Phase
 		cji := 0.0
 		if pj >= pi {
 			cji = 1
@@ -277,29 +328,50 @@ func newBuilder(ov core.DelayOverlay, opts core.Options, inComp []bool) *builder
 		// Same margin-adjusted transfer weight as the LP's L2R rows and
 		// the analysis fixpoint, with the delay read through the overlay.
 		w := ov.ArcWeight(opts, pidx)
-		b.pathEdge[pidx] = len(b.edges)
-		switch c.Sync(i).Kind {
+		b.pathEdge[pidx] = int32(len(b.edges))
+		switch si.Kind {
 		case core.Latch:
 			// L2R: u_i >= u_j + w − C·Tc.
 			add(b.u[j], b.u[i], w, -cji)
 		case core.FlipFlop:
 			// FF setup: s_{p_i} >= u_j + w + ΔDC_i − C·Tc.
-			add(b.u[j], b.s[pi], w+c.Sync(i).Setup, -cji)
+			add(b.u[j], b.s[pi], w+si.Setup, -cji)
 		}
 		// Conservative hold rows, mirroring core.BuildLP exactly:
 		// s_pj − [e_pi (latch) | s_pi (FF)] >= K − (1−C)·Tc.
-		if opts.DesignForHold && c.Sync(i).Hold > 0 {
-			kconst := c.Sync(i).Hold - c.Sync(j).DQ - ov.MinDelay(pidx) +
+		if opts.DesignForHold && si.Hold > 0 {
+			kconst := si.Hold - sj.DQ - ov.MinDelay(pidx) +
 				opts.Skew + sigma(opts, pj) + sigma(opts, pi)
 			from := b.e[pi]
-			if c.Sync(i).Kind == core.FlipFlop {
+			if si.Kind == core.FlipFlop {
 				from = b.s[pi]
 			}
-			b.holdEdge[pidx] = len(b.edges)
+			b.holdEdge[pidx] = int32(len(b.edges))
 			add(from, b.s[pj], kconst, -(1 - cji))
 		}
 	}
 	return b
+}
+
+// nodeName renders constraint-graph node v: "origin", "s.<phase>",
+// "e.<phase>" or "u.<synchronizer>".
+func (b *builder) nodeName(v int) string {
+	k := len(b.s)
+	switch {
+	case v == b.z:
+		return "origin"
+	case v <= 2*k:
+		p := (v - 1) / 2
+		if v == b.s[p] {
+			return "s." + b.c.PhaseName(p)
+		}
+		return "e." + b.c.PhaseName(p)
+	}
+	i := v - 1 - 2*k
+	if b.uSync != nil {
+		i = int(b.uSync[i])
+	}
+	return "u." + b.c.SyncName(i)
 }
 
 // sigma mirrors core's per-phase skew accessor.
@@ -310,8 +382,8 @@ func sigma(o core.Options, p int) float64 {
 	return o.PhaseSkew[p]
 }
 
-// ensureScratch lazily builds the CSR out-adjacency and the reusable
-// probe buffers.
+// ensureScratch lazily builds the CSR out-adjacency, its
+// structure-of-arrays edge copy and the reusable probe buffers.
 func (b *builder) ensureScratch() {
 	if b.outStart != nil {
 		return
@@ -325,11 +397,20 @@ func (b *builder) ensureScratch() {
 		b.outStart[i+1] += b.outStart[i]
 	}
 	b.outEdge = make([]int32, m)
+	b.outTo = make([]int32, m)
+	b.outA = make([]float64, m)
+	b.outB = make([]float64, m)
+	b.edgePos = make([]int32, m)
 	fill := make([]int32, n)
 	copy(fill, b.outStart[:n])
 	for ei, e := range b.edges {
-		b.outEdge[fill[e.from]] = int32(ei)
+		a := fill[e.from]
 		fill[e.from]++
+		b.outEdge[a] = int32(ei)
+		b.outTo[a] = e.to
+		b.outA[a] = e.a
+		b.outB[a] = e.b
+		b.edgePos[ei] = a
 	}
 	b.dist = make([]float64, n)
 	b.pred = make([]int32, n)
@@ -338,9 +419,24 @@ func (b *builder) ensureScratch() {
 	b.queue2 = make([]int32, 0, n)
 	b.wgen = make([]uint32, n)
 	b.wmark = make([]int32, n)
-	b.wpos = make([]int32, n)
-	b.ddist = make([]float64, n)
-	b.dpred = make([]int32, n)
+}
+
+// setA sets edge ei's constant in the edge list and, once built, in
+// the out-order copy the relaxation kernels read.
+func (b *builder) setA(ei int32, a float64) {
+	b.edges[ei].a = a
+	if b.edgePos != nil {
+		b.outA[b.edgePos[ei]] = a
+	}
+}
+
+// walkPos returns the walk-position scratch, allocating it on first
+// use.
+func (b *builder) walkPos() []int32 {
+	if b.wpos == nil {
+		b.wpos = make([]int32, b.n)
+	}
+	return b.wpos
 }
 
 // inQueue / setInQueue / clearInQueue are the worklist-membership
@@ -428,9 +524,9 @@ func (b *builder) probe(ctx context.Context, tc float64, warm bool) (dist []floa
 			b.dist[e.to] = d
 			b.pred[e.to] = int32(ei)
 			relaxations++
-			if !b.inQueue(e.to) {
-				b.setInQueue(e.to)
-				cur = append(cur, int32(e.to))
+			if !b.inQueue(int(e.to)) {
+				b.setInQueue(int(e.to))
+				cur = append(cur, e.to)
 			}
 		}
 	}
@@ -529,9 +625,9 @@ func (b *builder) drainSerial(ctx context.Context, tc float64, relaxations *int6
 					b.dist[e.to] = d
 					b.pred[e.to] = int32(ei)
 					*relaxations++
-					if !b.inQueue(e.to) {
-						b.setInQueue(e.to)
-						next = append(next, int32(e.to))
+					if !b.inQueue(int(e.to)) {
+						b.setInQueue(int(e.to))
+						next = append(next, e.to)
 					}
 				}
 			}
@@ -544,16 +640,19 @@ func (b *builder) drainSerial(ctx context.Context, tc float64, relaxations *int6
 					}
 				}
 				du := b.dist[u]
-				for a := b.outStart[u]; a < b.outStart[u+1]; a++ {
-					ei := b.outEdge[a]
-					e := &b.edges[ei]
-					if d := du + e.a + e.b*tc; d > b.dist[e.to]+eps {
-						b.dist[e.to] = d
-						b.pred[e.to] = ei
+				r0, r1 := b.outStart[u], b.outStart[u+1]
+				tos := b.outTo[r0:r1]
+				as := b.outA[r0:r1]
+				bs := b.outB[r0:r1]
+				eis := b.outEdge[r0:r1]
+				for i, to := range tos {
+					if d := du + as[i] + bs[i]*tc; d > b.dist[to]+eps {
+						b.dist[to] = d
+						b.pred[to] = eis[i]
 						*relaxations++
-						if !b.inQueue(e.to) {
-							b.setInQueue(e.to)
-							next = append(next, int32(e.to))
+						if !b.inQueue(int(to)) {
+							b.setInQueue(int(to))
+							next = append(next, to)
 						}
 					}
 				}
@@ -607,7 +706,7 @@ func (b *builder) bestWitness(ctx context.Context, tc float64) ([]int32, error) 
 			if ei := b.pred[v]; ei < 0 {
 				v = -1
 			} else {
-				v = b.edges[ei].from
+				v = int(b.edges[ei].from)
 			}
 		}
 		if v < 0 || mark[v] != int32(s) {
@@ -621,7 +720,7 @@ func (b *builder) bestWitness(ctx context.Context, tc float64) ([]int32, error) 
 			cyc = append(cyc, ei)
 			sumA += e.a
 			sumB += e.b
-			if cur = e.from; cur == v {
+			if cur = int(e.from); cur == v {
 				break
 			}
 		}
@@ -646,6 +745,10 @@ func (b *builder) bestWitness(ctx context.Context, tc float64) ([]int32, error) 
 // polled once per pass and during cycle extraction.
 func (b *builder) probeDense(ctx context.Context, tc float64) (dist []float64, witness []edge, err error) {
 	b.ensureScratch()
+	if b.ddist == nil {
+		b.ddist = make([]float64, b.n)
+		b.dpred = make([]int32, b.n)
+	}
 	dist = b.ddist // separate from b.dist: a fallback must not clobber warm potentials
 	pred := b.dpred
 	for i := range dist {
@@ -663,7 +766,7 @@ func (b *builder) probeDense(ctx context.Context, tc float64) (dist []float64, w
 			if d := dist[e.from] + w; d > dist[e.to]+eps {
 				dist[e.to] = d
 				pred[e.to] = int32(ei)
-				changed = e.to
+				changed = int(e.to)
 			}
 		}
 		return changed
@@ -690,10 +793,10 @@ func (b *builder) probeDense(ctx context.Context, tc float64) (dist []float64, w
 				return nil, nil, err
 			}
 		}
-		v = b.edges[pred[v]].from
+		v = int(b.edges[pred[v]].from)
 	}
 	ep := b.bumpEpoch()
-	gen, pos := b.wgen, b.wpos
+	gen, pos := b.wgen, b.walkPos()
 	var path []int32
 	cur := v
 	for {
@@ -716,7 +819,7 @@ func (b *builder) probeDense(ctx context.Context, tc float64) (dist []float64, w
 			return nil, b.edgesOf(path), nil
 		}
 		path = append(path, ei)
-		cur = b.edges[ei].from
+		cur = int(b.edges[ei].from)
 	}
 }
 
@@ -928,7 +1031,7 @@ func (b *builder) setWitness(res *Result, witness []edge) {
 	}
 	var sumA, sumB float64
 	for _, e := range witness {
-		res.CriticalLoop = append(res.CriticalLoop, b.names[e.to])
+		res.CriticalLoop = append(res.CriticalLoop, b.nodeName(int(e.to)))
 		sumA += e.a
 		sumB += e.b
 	}
@@ -945,7 +1048,7 @@ func (b *builder) setWitness(res *Result, witness []edge) {
 func (b *builder) cycleArcs(witness []edge) []CycleArc {
 	arcs := make([]CycleArc, 0, len(witness))
 	for _, e := range witness {
-		arcs = append(arcs, CycleArc{From: b.names[e.from], To: b.names[e.to], A: e.a, B: e.b})
+		arcs = append(arcs, CycleArc{From: b.nodeName(int(e.from)), To: b.nodeName(int(e.to)), A: e.a, B: e.b})
 	}
 	return arcs
 }

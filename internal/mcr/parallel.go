@@ -262,7 +262,10 @@ func (b *builder) drainChunked(ctx context.Context, tc float64, relaxations *int
 // Gauss–Seidel within the chunk (a source later in the chunk sees
 // updates an earlier source made), Jacobi across chunks (only
 // round-start global potentials are read for nodes the lane has not
-// overlaid).
+// overlaid). Both chunk kernels stream a source's arcs from the
+// out-order arrays (outTo/outA/outB, see ensureScratch) and record the
+// edge index from outEdge as the predecessor, so they relax exactly
+// the arcs, in exactly the order and arithmetic, of the edge list.
 func (b *builder) relaxChunkSparse(ln *probeLane, tc float64, sources []int32) {
 	ln.nextEpoch()
 	ln.dirty = ln.dirty[:0]
@@ -271,17 +274,19 @@ func (b *builder) relaxChunkSparse(ln *probeLane, tc float64, sources []int32) {
 		if math.IsInf(du, -1) {
 			continue
 		}
-		for a := b.outStart[u]; a < b.outStart[u+1]; a++ {
-			ei := b.outEdge[a]
-			e := &b.edges[ei]
-			to := int32(e.to)
-			if d := du + e.a + e.b*tc; d > ln.localDist(to, b.dist)+eps {
+		r0, r1 := b.outStart[u], b.outStart[u+1]
+		tos := b.outTo[r0:r1]
+		as := b.outA[r0:r1]
+		bs := b.outB[r0:r1]
+		eis := b.outEdge[r0:r1]
+		for i, to := range tos {
+			if d := du + as[i] + bs[i]*tc; d > ln.localDist(to, b.dist)+eps {
 				if ln.gen[to] != ln.epoch {
 					ln.gen[to] = ln.epoch
 					ln.dirty = append(ln.dirty, to)
 				}
 				ln.dist[to] = d
-				ln.pred[to] = ei
+				ln.pred[to] = eis[i]
 				ln.relax++
 			}
 		}
@@ -303,17 +308,19 @@ func (b *builder) relaxChunkDense(ln *probeLane, tc float64, lo, hi int) {
 		if math.IsInf(du, -1) {
 			continue
 		}
-		for a := b.outStart[u]; a < b.outStart[u+1]; a++ {
-			ei := b.outEdge[a]
-			e := &b.edges[ei]
-			to := int32(e.to)
-			if d := du + e.a + e.b*tc; d > ln.localDist(to, b.dist)+eps {
+		r0, r1 := b.outStart[u], b.outStart[u+1]
+		tos := b.outTo[r0:r1]
+		as := b.outA[r0:r1]
+		bs := b.outB[r0:r1]
+		eis := b.outEdge[r0:r1]
+		for i, to := range tos {
+			if d := du + as[i] + bs[i]*tc; d > ln.localDist(to, b.dist)+eps {
 				if ln.gen[to] != ln.epoch {
 					ln.gen[to] = ln.epoch
 					ln.dirty = append(ln.dirty, to)
 				}
 				ln.dist[to] = d
-				ln.pred[to] = ei
+				ln.pred[to] = eis[i]
 				ln.relax++
 			}
 		}

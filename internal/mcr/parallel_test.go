@@ -2,7 +2,10 @@ package mcr
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"mintc/internal/core"
@@ -290,5 +293,105 @@ func TestInqClearDiscipline(t *testing.T) {
 				t.Fatalf("cutoff=%d node %d: %v after abandoned frontier, fresh %v", cutoff, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestSetDelayChunkedMatchesFresh guards the out-order copy of the
+// edge constants the chunked kernels read: SetDelay and SetDelayMin
+// must patch it along with the edge list once a probe has built it.
+// A solver with the chunked engine forced on solves once (building the
+// copy), takes a delay raise through SetDelay and a cut through
+// SetDelayMin (with the overlay's own composed MinDelay clamp, as the
+// coupling pass applies it), and solves again. Tc, departures and the
+// witness arcs must be bitwise those of a fresh solver that took the
+// same edits before its first probe, so its copy was built from the
+// edited constants. A solver built over the edited overlay must agree
+// to 1e-9: SetDelay adds the new delay to the stored constant minus
+// the old one, which rounds differently from summing the weight
+// afresh. The hold variants put the cut below MinDelay, so the hold
+// edges' constants move too.
+func TestSetDelayChunkedMatchesFresh(t *testing.T) {
+	type tcase struct {
+		name string
+		c    *core.Circuit
+		opts core.Options
+	}
+	var cases []tcase
+	for _, bm := range gen.Suite() {
+		cases = append(cases, tcase{bm.Name, bm.Circuit, core.Options{}})
+	}
+	rng := rand.New(rand.NewSource(2121))
+	for len(cases) < len(gen.Suite())+12 {
+		c := randomHoldCircuit(rng)
+		if len(c.Paths()) < 2 {
+			continue
+		}
+		cases = append(cases, tcase{fmt.Sprintf("hold-%d", len(cases)), c, core.Options{DesignForHold: true}})
+	}
+	chunked := func(s *Solver) *Solver {
+		s.b.chunkCutoff = 1
+		s.b.chunkSizeOver = 3
+		return s
+	}
+	moved := 0
+	for _, tc := range cases {
+		cc := tc.c.MustFreeze()
+		base := cc.Overlay()
+		s, err := NewSolverOverlay(base, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunked(s)
+		before, err := s.Solve()
+		if err != nil {
+			continue // infeasible at base; nothing to edit against
+		}
+		paths := tc.c.Paths()
+		raise, cut := 0, len(paths)-1
+		ov := base.With(raise, 2*paths[raise].Delay+5)
+		ov = ov.With(cut, 0.25*paths[cut].MinDelay)
+		edit := func(s *Solver) {
+			s.SetDelay(raise, ov.Delay(raise))
+			s.SetDelayMin(cut, ov.Delay(cut), ov.MinDelay(cut))
+		}
+		edit(s)
+		got, gerr := s.Solve()
+		ref, err := NewSolverOverlay(base, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(chunked(ref))
+		want, werr := ref.Solve()
+		fresh, err := NewSolverOverlay(ov, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, berr := chunked(fresh).Solve()
+		if (gerr == nil) != (werr == nil) || (gerr == nil) != (berr == nil) {
+			t.Fatalf("%s: edited solver err %v, edited before first probe %v, built over the edits %v", tc.name, gerr, werr, berr)
+		}
+		if gerr != nil {
+			continue
+		}
+		if math.Abs(got.Tc-built.Tc) > 1e-9*(1+math.Abs(built.Tc)) {
+			t.Fatalf("%s: edited solver Tc %v, solver built over the edited overlay %v", tc.name, got.Tc, built.Tc)
+		}
+		if math.Float64bits(got.Tc) != math.Float64bits(want.Tc) {
+			t.Fatalf("%s: edited solver Tc %v, fresh build %v", tc.name, got.Tc, want.Tc)
+		}
+		for i := range want.D {
+			if math.Float64bits(got.D[i]) != math.Float64bits(want.D[i]) {
+				t.Fatalf("%s: D[%d] %v, fresh build %v", tc.name, i, got.D[i], want.D[i])
+			}
+		}
+		if !reflect.DeepEqual(got.CriticalArcs, want.CriticalArcs) {
+			t.Fatalf("%s: witness arcs %v, fresh build %v", tc.name, got.CriticalArcs, want.CriticalArcs)
+		}
+		if got.Tc != before.Tc {
+			moved++
+		}
+	}
+	if moved < 5 {
+		t.Fatalf("only %d of %d edits moved Tc; the check needs edits that matter", moved, len(cases))
 	}
 }

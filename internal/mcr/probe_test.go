@@ -38,7 +38,7 @@ func probePair(t *testing.T, c *core.Circuit, tc float64) {
 				continue
 			}
 			if math.Abs(a-b) > tol {
-				t.Fatalf("tc=%g node %s: worklist potential %g, dense %g", tc, bw.names[i], a, b)
+				t.Fatalf("tc=%g node %s: worklist potential %g, dense %g", tc, bw.nodeName(i), a, b)
 			}
 		}
 		return

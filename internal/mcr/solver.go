@@ -23,7 +23,8 @@ type Solver struct {
 	// exists): SetDelay repairs the hold constant with the same
 	// MinDelay clamp DelayOverlay.With applies — the effective
 	// best-case delay is min(construction MinDelay, new delay), so the
-	// repaired constant is holdBaseA + (consMin − clamped).
+	// repaired constant is holdBaseA + (consMin − clamped). Both are
+	// nil without DesignForHold, which emits no hold edges.
 	holdBaseA []float64
 	consMin   []float64
 }
@@ -33,12 +34,10 @@ type Solver struct {
 // read through the overlay the graph was built from.
 func newSolverOn(b *builder, opts core.Options, ov core.DelayOverlay) *Solver {
 	n := len(b.pathEdge)
-	s := &Solver{
-		b:         b,
-		opts:      opts,
-		baseA:     make([]float64, n),
-		holdBaseA: make([]float64, n),
-		consMin:   make([]float64, n),
+	s := &Solver{b: b, opts: opts, baseA: make([]float64, n)}
+	if opts.DesignForHold {
+		s.holdBaseA = make([]float64, n)
+		s.consMin = make([]float64, n)
 	}
 	for p, ei := range b.pathEdge {
 		if ei < 0 {
@@ -69,13 +68,13 @@ func (s *Solver) SetDelay(p int, d float64) {
 	if ei < 0 {
 		panic(fmt.Sprintf("mcr: Solver.SetDelay path %d is outside this solver's subsystem", p))
 	}
-	s.b.edges[ei].a = s.baseA[p] + d
+	s.b.setA(ei, s.baseA[p]+d)
 	if hi := s.b.holdEdge[p]; hi >= 0 {
 		m := s.consMin[p]
 		if d < m {
 			m = d
 		}
-		s.b.edges[hi].a = s.holdBaseA[p] + (s.consMin[p] - m)
+		s.b.setA(hi, s.holdBaseA[p]+(s.consMin[p]-m))
 	}
 }
 
@@ -94,9 +93,9 @@ func (s *Solver) SetDelayMin(p int, d, minEff float64) {
 	if ei < 0 {
 		panic(fmt.Sprintf("mcr: Solver.SetDelayMin path %d is outside this solver's subsystem", p))
 	}
-	s.b.edges[ei].a = s.baseA[p] + d
+	s.b.setA(ei, s.baseA[p]+d)
 	if hi := s.b.holdEdge[p]; hi >= 0 {
-		s.b.edges[hi].a = s.holdBaseA[p] + (s.consMin[p] - minEff)
+		s.b.setA(hi, s.holdBaseA[p]+(s.consMin[p]-minEff))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"mintc/internal/circuits"
 	"mintc/internal/core"
+	"mintc/internal/gen"
 )
 
 func TestSolverMatchesSolveAcrossSweep(t *testing.T) {
@@ -103,4 +104,65 @@ func BenchmarkSolverVsFreshSolve(b *testing.B) {
 			}
 		}
 	})
+}
+
+// buildAllocs counts the objects one NewSolverOverlay and one
+// NewComponentSolver (over the largest latch-graph component) allocate
+// on circuit c.
+func buildAllocs(t *testing.T, c *core.Circuit) (full, comp float64) {
+	t.Helper()
+	cc := c.MustFreeze()
+	ov := cc.Overlay()
+	pt := cc.Partition()
+	big := 0
+	for ci := 1; ci < pt.NumComponents(); ci++ {
+		if len(pt.Members(ci)) > len(pt.Members(big)) {
+			big = ci
+		}
+	}
+	var err error
+	full = testing.AllocsPerRun(5, func() {
+		if _, e := NewSolverOverlay(ov, core.Options{}); e != nil {
+			err = e
+		}
+	})
+	comp = testing.AllocsPerRun(5, func() {
+		if _, e := NewComponentSolver(ov, core.Options{}, pt.Members(big)); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return full, comp
+}
+
+// TestBuildAllocs pins the allocation count of a constraint-graph
+// build: the edge list is sized before it is filled and node names
+// are rendered only for witness cycles, so building the full graph or
+// a component's subsystem allocates a fixed set of slices, the same on
+// Example 1 (4 synchronizers) as on rand-huge-10k (10,000). One string
+// per node or one append regrowth per doubling would add thousands or
+// more.
+func TestBuildAllocs(t *testing.T) {
+	const ceiling = 16
+	smallFull, smallComp := buildAllocs(t, circuits.Example1(80))
+	var huge *core.Circuit
+	for _, bm := range gen.Huge() {
+		if bm.Name == "rand-huge-10k" {
+			huge = bm.Circuit
+		}
+	}
+	bigFull, bigComp := buildAllocs(t, huge)
+	t.Logf("allocs per build: full %.0f / %.0f, component %.0f / %.0f (example1-80 / rand-huge-10k)",
+		smallFull, bigFull, smallComp, bigComp)
+	if bigFull > ceiling || bigComp > ceiling {
+		t.Errorf("rand-huge-10k build allocates %.0f (full) / %.0f (component) objects, ceiling %d", bigFull, bigComp, ceiling)
+	}
+	// AllocsPerRun reads process-wide counters, so allow a stray runtime
+	// allocation; per-node work would add thousands.
+	if bigFull > smallFull+2 || bigComp > smallComp+2 {
+		t.Errorf("build allocations grow with the circuit: full %.0f -> %.0f, component %.0f -> %.0f",
+			smallFull, bigFull, smallComp, bigComp)
+	}
 }

@@ -42,6 +42,9 @@ var protoMagic = [4]byte{'S', 'M', 'O', 0x01}
 
 const (
 	maxFrameBytes = 64 << 20
+	// frameChunkBytes is DecodeFrame's first payload buffer; it grows
+	// by doubling only as bytes arrive.
+	frameChunkBytes = 32 << 10
 	// sniffTimeout bounds how long a fresh connection may sit silent
 	// before it must reveal its protocol.
 	sniffTimeout = 10 * time.Second
@@ -338,19 +341,34 @@ func EncodeFrame(w io.Writer, payload any) error {
 // DecodeFrame reads one length-prefixed payload into v — the one frame
 // decoder, used by the server for requests and by clients for
 // responses. A length of 0 or above the frame cap is rejected from the
-// header alone, before the payload buffer is allocated.
+// header alone, before the payload buffer is allocated. An accepted
+// length is only a claim: the buffer starts at frameChunkBytes and
+// doubles as payload bytes arrive, so a peer that declares a large
+// frame and stalls pins no more memory than it has sent. Errors follow
+// io.ReadFull: io.EOF when no payload byte arrived, io.ErrUnexpectedEOF
+// after a partial one.
 func DecodeFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrameBytes {
-		return fmt.Errorf("serve: frame length %d out of range (0, %d]", n, maxFrameBytes)
+	size := binary.BigEndian.Uint32(hdr[:])
+	if size == 0 || size > maxFrameBytes {
+		return fmt.Errorf("serve: frame length %d out of range (0, %d]", size, maxFrameBytes)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
+	n := int(size)
+	buf := make([]byte, min(n, frameChunkBytes))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		if got = len(buf); got == n {
+			break
+		}
+		buf = append(buf, make([]byte, min(got, n-got))...)
 	}
 	if err := json.Unmarshal(buf, v); err != nil {
 		return fmt.Errorf("serve: malformed frame: %w", err)

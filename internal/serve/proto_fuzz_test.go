@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // countingReader counts the bytes a decoder consumed.
@@ -122,4 +123,39 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("round trip changed the request: %+v -> %+v", built, got)
 		}
 	})
+}
+
+// TestDecodeFrameGrowsWithPayload: a header that declares a 60 MiB
+// payload and then ends must fail without allocating the declared
+// size, since the payload buffer grows only as bytes arrive; a partial
+// payload reports io.ErrUnexpectedEOF, and a frame several times the
+// first buffer, read in short pieces, still decodes intact.
+func TestDecodeFrameGrowsWithPayload(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], 60<<20)
+	var req binRequest
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := DecodeFrame(bytes.NewReader(hdr[:]), &req)
+	runtime.ReadMemStats(&after)
+	if err != io.EOF {
+		t.Fatalf("header then EOF: err = %v, want io.EOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Fatalf("header declaring 60 MiB then EOF allocated %d bytes, want < 64 KiB", grew)
+	}
+
+	partial := append(hdr[:], make([]byte, 3*frameChunkBytes)...)
+	if err := DecodeFrame(bytes.NewReader(partial), &req); err != io.ErrUnexpectedEOF {
+		t.Fatalf("partial payload: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+
+	big := binRequest{ID: 9, Method: strings.Repeat("m", 5*frameChunkBytes+17)}
+	var got binRequest
+	if err := DecodeFrame(iotest.HalfReader(bytes.NewReader(frameBytes(t, big))), &got); err != nil {
+		t.Fatal(err)
+	}
+	if !sameRequest(t, big, got) {
+		t.Fatalf("large frame changed on decode: %d-byte method -> %d", len(big.Method), len(got.Method))
+	}
 }
