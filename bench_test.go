@@ -424,9 +424,10 @@ func BenchmarkLexTieBreak(b *testing.B) {
 	})
 }
 
-// BenchmarkCompiledEvaluator measures the LEADOUT-style repeated
-// analysis against the from-scratch CheckTc on the GaAs model.
-func BenchmarkCompiledEvaluator(b *testing.B) {
+// BenchmarkCheckTcOverlay measures the LEADOUT-style repeated
+// analysis on the GaAs model: CheckTc, which freezes the circuit on
+// every call, against CheckTcOverlay over one frozen snapshot.
+func BenchmarkCheckTcOverlay(b *testing.B) {
 	c := circuits.GaAsMIPS()
 	r, err := core.MinTc(c, core.Options{})
 	if err != nil {
@@ -440,15 +441,14 @@ func BenchmarkCompiledEvaluator(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Evaluator", func(b *testing.B) {
-		ev, err := core.NewEvaluator(c)
-		if err != nil {
-			b.Fatal(err)
-		}
+	b.Run("overlay", func(b *testing.B) {
+		ov := c.MustFreeze().Overlay()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ev.Check(r.Schedule)
+			if _, err := core.CheckTcOverlay(ov, r.Schedule, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -6,8 +6,9 @@
 // This example takes the paper's Example 2 circuit, lists the binding
 // constraints with their duals (dTc*/dDelay), then sweeps one critical
 // block's delay parametrically to map the piecewise-linear response of
-// the optimal cycle time, and finally uses the compiled evaluator to
-// scan a whole delay range at high resolution cheaply.
+// the optimal cycle time, and finally re-checks a frozen snapshot
+// through delay overlays to scan a whole delay range at high
+// resolution cheaply.
 //
 // Run with: go run ./examples/critical_segments
 package main
@@ -62,20 +63,23 @@ func main() {
 	}
 	fmt.Printf("breakpoints: %v\n", mintc.Breakpoints(pieces))
 
-	// High-resolution what-if scan with the compiled evaluator: how
-	// much can this block slow down before the *current* schedule
-	// (not a re-optimized one) fails?
-	ev, err := mintc.NewEvaluator(c)
+	// High-resolution what-if scan over a frozen snapshot: how much can
+	// this block slow down before the *current* schedule (not a
+	// re-optimized one) fails? Each probe checks an overlay carrying one
+	// edited delay; the snapshot's compiled analysis is reused.
+	cc, err := mintc.Freeze(c)
 	if err != nil {
 		log.Fatal(err)
 	}
 	slackOf := func(pathIdx int) float64 {
 		base := c.Paths()[pathIdx].Delay
-		defer ev.SetDelay(pathIdx, base)
 		limit := base
 		for d := base; d <= base+120; d += 0.25 {
-			ev.SetDelay(pathIdx, d)
-			if q := ev.Check(res.Schedule); !q.Feasible {
+			an, err := mintc.CheckTcOverlay(cc.Overlay().With(pathIdx, d), res.Schedule, mintc.Options{})
+			if err != nil {
+				log.Fatal(err)
+			}
+			if !an.Feasible {
 				break
 			}
 			limit = d

@@ -3,8 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"mintc/internal/graph"
+	"slices"
 )
 
 // Violation describes one failed timing requirement found by CheckTc.
@@ -46,10 +45,9 @@ type Analysis struct {
 // CheckTc verifies a circuit against a concrete clock schedule: the
 // analysis problem of the paper's introduction ("determine if these
 // constraints are indeed satisfied for a given circuit and a given
-// clocking scheme"). The departure times are obtained as the least
-// fixpoint of the propagation constraints L2, computed exactly as a
-// longest-path problem on a constraint graph; cyclic dependencies are
-// handled natively (no unrolling).
+// clocking scheme"). The departure times are the least fixpoint of the
+// propagation constraints L2 (see leastFixpoint); cyclic dependencies
+// are handled natively (no unrolling).
 //
 // The circuit is frozen first and checked through its empty overlay;
 // callers that check one circuit repeatedly freeze once and call
@@ -65,9 +63,14 @@ func CheckTc(c *Circuit, sched *Schedule, opts Options) (*Analysis, error) {
 // CheckTcOverlay is CheckTc against a frozen snapshot seen through a
 // delay overlay: the verification runs on the overlay's effective
 // delays without materializing a circuit, reusing the snapshot's
-// cached kernel when the overlay is empty. The snapshot was validated
-// at Freeze, so no re-validation happens per call; the overlay itself
-// validates edits at With time.
+// cached kernel, component order and pooled scratch, so repeated
+// checks with different schedules or delay edits pay only for the
+// propagation and the result slices — the "compilation of the timing
+// constraints into a fast-executing program which allows repeated
+// analysis of a circuit with different clocking or device parameters"
+// the paper's related-work section credits to LEADOUT. The snapshot
+// was validated at Freeze, so no re-validation happens per call; the
+// overlay itself validates edits at With time.
 func CheckTcOverlay(ov DelayOverlay, sched *Schedule, opts Options) (*Analysis, error) {
 	if !ov.Valid() {
 		return nil, fmt.Errorf("core: CheckTcOverlay on a zero DelayOverlay (start from Compiled.Overlay)")
@@ -82,7 +85,7 @@ func CheckTcOverlay(ov DelayOverlay, sched *Schedule, opts Options) (*Analysis, 
 	an := &Analysis{Feasible: true}
 
 	// Clock constraints C1–C4.
-	for _, cv := range sched.ValidateClock(c) {
+	for _, cv := range sched.validateClock(c, ov.base.kmat) {
 		an.Violations = append(an.Violations, Violation{Kind: "clock", Sync: -1, Detail: cv.Constraint, Amount: cv.Amount})
 		an.Feasible = false
 	}
@@ -96,8 +99,9 @@ func CheckTcOverlay(ov DelayOverlay, sched *Schedule, opts Options) (*Analysis, 
 	defer kn.putSlide(sc)
 	sc.shift = kn.ShiftTable(sched, sc.shift)
 	shift := sc.shift
-	d, loop := leastFixpoint(kn, shift)
-	if d == nil {
+	l := c.L()
+	d := make([]float64, l)
+	if loop := leastFixpoint(kn, shift, d, sc); loop != nil {
 		an.Feasible = false
 		an.PositiveLoop = loop
 		an.Violations = append(an.Violations, Violation{
@@ -107,7 +111,6 @@ func CheckTcOverlay(ov DelayOverlay, sched *Schedule, opts Options) (*Analysis, 
 		})
 		return an, nil
 	}
-	l := c.L()
 	an.D = d
 	an.A = make([]float64, l)
 	kn.ArriveAll(d, shift, an.A) // margin-adjusted, like the fixpoint
@@ -159,41 +162,104 @@ func CheckTcOverlay(ov DelayOverlay, sched *Schedule, opts Options) (*Analysis, 
 	return an, nil
 }
 
-// leastFixpoint computes the least fixpoint of the kernel's departure
-// operator D_i = max(0, max_j (D_j + ΔDQ_j + Δ_ji + S)) at the
-// schedule's shift table, exactly, as longest paths from a super-source
-// (the 0 floor) in a graph whose nodes are synchronizers; flip-flops
-// are pinned to 0 by giving them no incoming arcs. Cyclic dependencies
-// are handled natively (no unrolling). When a loop gains delay every
-// cycle there is no fixpoint: d is nil and loop names its
-// synchronizers.
-func leastFixpoint(kn *Kernel, shift []float64) (d []float64, loop []int) {
+// fixpointEps is the least fixpoint's acceptance threshold: a
+// relaxation must raise a departure by more than this to count, so
+// round-off on zero-gain loops cannot refine forever.
+const fixpointEps = 1e-9
+
+// leastFixpoint fills d with the least fixpoint of the kernel's
+// departure operator D_i = max(0, max_j (D_j + ΔDQ_j + Δ_ji + S)) at
+// the schedule's shift table, flip-flops pinned at 0. It iterates only
+// inside loops: the latch graph's strongly connected components
+// (Kernel.fixpointOrder) are visited sources first, an acyclic one is
+// relaxed once — its fanin is final by then — and a cyclic one is
+// swept Gauss–Seidel in ascending member order until no departure
+// rises. A longest simple path through a component has fewer arcs
+// than it has members, so a component that still changes on pass
+// |comp|+1 holds a loop that gains delay every cycle: d is then not a
+// fixpoint, and the returned loop names that loop's synchronizers in
+// arc order, traced back through the per-node predecessor arcs kept in
+// sc. A nil loop means d is the fixpoint.
+func leastFixpoint(kn *Kernel, shift, d []float64, sc *slideScratch) (loop []int) {
 	l := kn.L()
-	g := graph.New(l + 1)
-	z := l
-	for i := 0; i < l; i++ {
-		g.AddEdge(z, i, 0) // D_i >= 0 floor
+	if cap(sc.pred) < l {
+		sc.pred = make([]int32, l)
 	}
-	for i := 0; i < l; i++ {
-		if kn.FF[i] {
-			continue // FF departure is independent of arrivals
-		}
-		for a := kn.Start[i]; a < kn.Start[i+1]; a++ {
-			g.AddEdge(int(kn.Src[a]), i, kn.W[a]+shift[kn.PP[a]])
-		}
+	pred := sc.pred[:l]
+	for i := range d {
+		d[i] = 0
+		pred[i] = -1
 	}
-	res := g.LongestPathsFrom(z)
-	if res.PositiveCycle != nil {
-		for _, v := range res.PositiveCycle {
-			if v != z {
-				loop = append(loop, v)
+	members, compStart, cyclic, bySrc := kn.fixpointOrder()
+	for ci := len(compStart) - 2; ci >= 0; ci-- {
+		comp := members[compStart[ci]:compStart[ci+1]]
+		if !cyclic[ci] {
+			kn.raise(comp[0], bySrc, shift, d, pred)
+			continue
+		}
+		for pass := 0; pass <= len(comp); pass++ {
+			last := int32(-1)
+			for _, i := range comp {
+				if kn.raise(i, bySrc, shift, d, pred) {
+					last = i
+				}
+			}
+			if last < 0 {
+				break
+			}
+			if pass == len(comp) {
+				return kn.traceLoop(pred, last)
 			}
 		}
-		return nil, loop
 	}
-	d = make([]float64, l)
-	copy(d, res.Dist[:l])
-	return d, nil
+	return nil
+}
+
+// raise relaxes every fanin arc of synchronizer i, accepting
+// d[Src] + (W + shift) when it exceeds d[i] by more than fixpointEps
+// and recording the arc in pred; it reports whether d[i] rose.
+// Flip-flops never rise. Among candidates within fixpointEps of each
+// other the first one found stays, so the arcs go by ascending source
+// (bySrc): the order a source-major longest-path scan meets them,
+// which is how the parity tests' Bellman–Ford oracle resolves such
+// near-ties too.
+func (kn *Kernel) raise(i int32, bySrc []int32, shift, d []float64, pred []int32) bool {
+	if kn.FF[i] {
+		return false
+	}
+	rose := false
+	for _, a := range bySrc[kn.Start[i]:kn.Start[i+1]] {
+		if v := d[kn.Src[a]] + (kn.W[a] + shift[kn.PP[a]]); v > d[i]+fixpointEps {
+			d[i] = v
+			pred[i] = a
+			rose = true
+		}
+	}
+	return rose
+}
+
+// traceLoop extracts a positive loop from the predecessor arcs after
+// synchronizer v rose on a pass that proves one exists: walking L
+// steps back lands on the loop, which is then read off backwards and
+// returned in arc order (each synchronizer feeds the next, the last
+// feeds the first).
+func (kn *Kernel) traceLoop(pred []int32, v int32) []int {
+	l := kn.L()
+	for i := 0; i < l && pred[v] >= 0; i++ {
+		v = kn.Src[pred[v]]
+	}
+	var loop []int
+	for u := v; len(loop) <= l; {
+		loop = append(loop, int(u))
+		if pred[u] < 0 {
+			break // degenerate: no loop behind v
+		}
+		if u = kn.Src[pred[u]]; u == v {
+			break
+		}
+	}
+	slices.Reverse(loop)
+	return loop
 }
 
 func loopNames(c *Circuit, loop []int) []string {

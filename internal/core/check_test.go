@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -244,6 +245,221 @@ func TestCheckTcMatchesMinTcBoundaryRandom(t *testing.T) {
 	}
 	if total > 0 && accepted == total {
 		t.Errorf("shrunken schedules always accepted (%d/%d); analysis looks vacuous", accepted, total)
+	}
+}
+
+// TestCheckTcWorstSlack: at the optimum every setup slack is
+// nonnegative (criticality may live in the loop constraints rather
+// than a setup row), and shrinking the whole schedule by 5% pushes a
+// slack negative or destabilizes a loop.
+func TestCheckTcWorstSlack(t *testing.T) {
+	c := example1(80)
+	r, err := MinTc(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := CheckTc(c, r.Schedule, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if worst := slices.Min(an.SetupSlack); worst < -1e-6 {
+		t.Errorf("worst slack at optimum = %g, want >= 0", worst)
+	}
+	an, err = CheckTc(c, scaled(r.Schedule, 0.95), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if an.Feasible {
+		t.Errorf("5%% shrink still feasible: %+v", an)
+	}
+}
+
+// TestCheckTcOverlayDelayEdit: a what-if delay edit flips the verdict
+// on a fixed schedule, and editing the delay back restores it.
+func TestCheckTcOverlayDelayEdit(t *testing.T) {
+	cc := example1(80).MustFreeze()
+	r, err := MinTcOverlay(cc.Overlay(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		ov       DelayOverlay
+		feasible bool
+	}{
+		{cc.Overlay(), true},
+		{cc.Overlay().With(3, 200), false},
+		{cc.Overlay().With(3, 200).With(3, 80), true},
+	} {
+		an, err := CheckTcOverlay(tc.ov, r.Schedule, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if an.Feasible != tc.feasible {
+			t.Errorf("overlay with %d edits: feasible %v, want %v (%v)", tc.ov.Len(), an.Feasible, tc.feasible, an.Violations)
+		}
+	}
+}
+
+// TestCheckTcRejectsInvalidCircuit: a circuit that fails validation
+// (here: no synchronizers) is refused when it is frozen for checking.
+func TestCheckTcRejectsInvalidCircuit(t *testing.T) {
+	if _, err := CheckTc(NewCircuit(1), SymmetricSchedule(1, 10, 0.5), Options{}); err == nil {
+		t.Fatal("invalid circuit checked")
+	}
+}
+
+// TestOverlayWithPanics: a what-if edit of a path that does not exist,
+// or to a delay that is negative or not finite, panics at With time,
+// before any analysis reads it.
+func TestOverlayWithPanics(t *testing.T) {
+	ov := example1(80).MustFreeze().Overlay()
+	for _, tc := range []struct {
+		path  int
+		delay float64
+	}{{99, 1}, {-1, 1}, {0, -1}, {0, math.NaN()}, {0, math.Inf(1)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("With(%d, %g) did not panic", tc.path, tc.delay)
+				}
+			}()
+			ov.With(tc.path, tc.delay)
+		}()
+	}
+}
+
+// scaled returns sched with Tc, every start and every width
+// multiplied by f.
+func scaled(sched *Schedule, f float64) *Schedule {
+	sc := sched.Clone()
+	sc.Tc *= f
+	for i := range sc.S {
+		sc.S[i] *= f
+		sc.T[i] *= f
+	}
+	return sc
+}
+
+// TestLeastFixpointCases drives the propagation on one-phase circuits
+// under a hand-set shift, so every arc weighs ΔDQ + Δ + shift: chains,
+// primary inputs, loops of zero, negative and positive gain, and the
+// positive loop's witness order.
+func TestLeastFixpointCases(t *testing.T) {
+	type path struct {
+		from, to int
+		delay    float64
+	}
+	for _, tc := range []struct {
+		name  string
+		syncs int
+		ffs   []int
+		paths []path
+		shift float64
+		want  []float64 // nil: a positive loop
+		loop  []int     // the witness, in arc order
+	}{
+		{name: "chain", syncs: 4, paths: []path{{0, 1, 5}, {0, 2, 2}, {2, 1, 4}, {1, 3, 1}}, want: []float64{0, 6, 2, 7}},
+		{name: "primary-input", syncs: 3, paths: []path{{0, 1, 1}}, want: []float64{0, 1, 0}},
+		{name: "zero-gain-loop", syncs: 3, paths: []path{{0, 1, 5}, {1, 2, 4}, {2, 1, 0}}, shift: -2, want: []float64{0, 3, 5}},
+		{name: "negative-self-loop", syncs: 2, paths: []path{{0, 1, 3}, {1, 1, 1}}, shift: -2, want: []float64{0, 1}},
+		{name: "floor", syncs: 2, paths: []path{{0, 1, 1}}, shift: -2, want: []float64{0, 0}},
+		{name: "flip-flop-pinned", syncs: 3, ffs: []int{1}, paths: []path{{0, 1, 9}, {1, 2, 1}, {2, 1, 9}}, want: []float64{0, 0, 1}},
+		{name: "positive-self-loop", syncs: 2, paths: []path{{0, 1, 1}, {1, 1, 0.5}}, loop: []int{1}},
+		{name: "positive-loop", syncs: 4, paths: []path{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 1, 1}, {2, 0, 0}}, shift: -0.5, loop: []int{3, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCircuit(1)
+			for i := 0; i < tc.syncs; i++ {
+				if slices.Contains(tc.ffs, i) {
+					c.AddFF("", 0, 0, 0)
+				} else {
+					c.AddLatch("", 0, 0, 0)
+				}
+			}
+			for _, p := range tc.paths {
+				c.AddPath(p.from, p.to, p.delay)
+			}
+			kn := CompileKernel(c, Options{})
+			d := make([]float64, tc.syncs)
+			loop := leastFixpoint(kn, []float64{tc.shift}, d, new(slideScratch))
+			if tc.want == nil {
+				if !slices.Equal(loop, tc.loop) {
+					t.Fatalf("loop %v, want %v", loop, tc.loop)
+				}
+				return
+			}
+			if loop != nil {
+				t.Fatalf("spurious positive loop %v", loop)
+			}
+			if !slices.Equal(d, tc.want) {
+				t.Errorf("D = %v, want %v", d, tc.want)
+			}
+		})
+	}
+}
+
+// TestCheckTcPositiveLoopIsWitness: every PositiveLoop CheckTc reports
+// is a cycle of the kernel — each synchronizer is a latch fed by the
+// previous one, the first by the last, none repeated — whose gain at
+// the schedule is positive, so the "no periodic steady state" verdict
+// is backed by the loop it names. Delays on a coarse grid make many
+// loops tie, so several positive loops compete.
+func TestCheckTcPositiveLoopIsWitness(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	witnessed := 0
+	for iter := 0; iter < 600; iter++ {
+		c := randomCircuit(rng)
+		if iter%2 == 1 {
+			for pidx, p := range c.Paths() {
+				c.SetPathDelay(pidx, math.Round(p.Delay/5)*5)
+			}
+		}
+		opts := randomOptions(rng, c.K())
+		r, err := MinTc(c, opts)
+		if err != nil {
+			continue
+		}
+		for _, f := range []float64{0.999999, 0.93, 0.7} {
+			sched := scaled(r.Schedule, f)
+			an, err := CheckTc(c, sched, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loop := an.PositiveLoop
+			if loop == nil {
+				continue
+			}
+			witnessed++
+			kn := CompileKernel(c, opts)
+			shift := kn.ShiftTable(sched, nil)
+			seen := map[int]bool{}
+			gain := 0.0
+			for x, v := range loop {
+				u := loop[(x+len(loop)-1)%len(loop)]
+				if seen[v] || kn.FF[v] {
+					t.Fatalf("iter %d ×%g: loop %v repeats or pins synchronizer %d", iter, f, loop, v)
+				}
+				seen[v] = true
+				// The heaviest parallel arc bounds the witness's own.
+				best := math.Inf(-1)
+				for a := kn.Start[v]; a < kn.Start[v+1]; a++ {
+					if int(kn.Src[a]) == u {
+						best = math.Max(best, kn.W[a]+shift[kn.PP[a]])
+					}
+				}
+				if math.IsInf(best, -1) {
+					t.Fatalf("iter %d ×%g: loop %v has no arc %d -> %d", iter, f, loop, u, v)
+				}
+				gain += best
+			}
+			if !(gain > 0) {
+				t.Fatalf("iter %d ×%g: loop %v gains %g per cycle, want > 0", iter, f, loop, gain)
+			}
+		}
+	}
+	t.Logf("%d positive loops checked", witnessed)
+	if witnessed < 100 {
+		t.Fatalf("only %d positive loops checked", witnessed)
 	}
 }
 

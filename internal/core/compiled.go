@@ -28,9 +28,8 @@ import (
 // everything obtained from it — kernels via KernelFor, overlays via
 // Overlay, the circuit view via Circuit) is safe for concurrent use
 // and never writes to shared state. Kernels handed out by KernelFor
-// are frozen — their mutating methods (SetDelay, Refold) panic — and
-// the returned matrix/order slices are shared and must be treated as
-// read-only. compiled_test.go guards the contract by freezing,
+// have no mutating methods, and they and the returned matrix/order
+// slices are shared and must be treated as read-only. compiled_test.go guards the contract by freezing,
 // solving, and asserting the snapshot's paths, matrices and kernel arc
 // weights are bit-identical afterwards.
 type Compiled struct {
@@ -141,10 +140,9 @@ func (cc *Compiled) PhaseOrder() []int { return cc.phaseOrder }
 
 // KernelFor returns the snapshot's compiled kernel for the given
 // margin options, compiling it at most once per distinct
-// (Skew, PhaseSkew) pair. The kernel is shared and frozen: evaluation
-// (Arrive, Depart, ArriveAll) is safe from any goroutine, while the
-// mutating SetDelay/Refold panic — derive a private kernel through a
-// DelayOverlay instead.
+// (Skew, PhaseSkew) pair. The kernel is shared and read-only:
+// evaluation (Arrive, Depart, ArriveAll) is safe from any goroutine,
+// and delay edits derive a private kernel through a DelayOverlay.
 func (cc *Compiled) KernelFor(opts Options) *Kernel {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -154,7 +152,6 @@ func (cc *Compiled) KernelFor(opts Options) *Kernel {
 		}
 	}
 	kn := CompileKernel(cc.c, opts)
-	kn.frozen = true
 	var ps []float64
 	if opts.PhaseSkew != nil {
 		ps = append([]float64(nil), opts.PhaseSkew...)

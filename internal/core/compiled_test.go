@@ -122,24 +122,6 @@ func TestCompiledImmutableUnderAnalysis(t *testing.T) {
 	}
 }
 
-// TestFrozenKernelPanics pins the guard rails: the shared kernel's
-// mutating methods must refuse to run.
-func TestFrozenKernelPanics(t *testing.T) {
-	cc := example1(50).MustFreeze()
-	kn := cc.KernelFor(Options{})
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s on a frozen kernel did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("SetDelay", func() { kn.SetDelay(0, 1) })
-	mustPanic("Refold", func() { kn.Refold() })
-}
-
 // TestOverlaySolveMatchesMutatedCircuit pins overlay solves against the
 // classic mutate-and-solve flow bit-for-bit.
 func TestOverlaySolveMatchesMutatedCircuit(t *testing.T) {

@@ -7,21 +7,23 @@ import "math"
 // part of every arc's transfer weight — ArcWeight, i.e. ΔDQ_j + Δ_ji
 // plus the margins of one fixed Options value — pre-folded into a flat
 // float64 slice. The hot loops of the MLP departure slide, the CheckTc
-// fixpoint, the compiled Evaluator and both simulators then evaluate
-// the L2 recurrence as
+// fixpoint and both simulators then evaluate the L2 recurrence as
 //
 //	A_i = max over arcs a of D[Src[a]] + W[a] + shift[PP[a]]
 //
 // with zero closure dispatch: plain indexed loads instead of the three
 // indirect calls per arc that the reference core.Arrive pays.
 //
-// A Kernel is valid for one (circuit structure, Options) pair:
+// A Kernel is read-only once built and valid for one (circuit
+// structure, delays, Options) triple:
 //
 //   - adding synchronizers or paths invalidates it — compile a new one;
-//   - changing a path's worst-case delay (Circuit.SetPathDelay) is
-//     repaired by Refold (bulk) or SetDelay (single arc);
-//   - changing margins (Skew, PhaseSkew) requires recompiling, because
-//     they are folded into W;
+//   - delays are read only through a DelayOverlay: what-if edits get a
+//     private kernel from DelayOverlay.Kernel, which shares the
+//     structure arrays and re-folds the edited arcs' weights;
+//   - changing margins (Skew, PhaseSkew) requires another kernel,
+//     because they are folded into W (Compiled.KernelFor caches one per
+//     margin set);
 //   - the clock schedule is NOT baked in: phase shifts vary per
 //     schedule, so consumers build a k×k shift table per schedule with
 //     ShiftTable and pass it to Arrive/Depart. Absolute-time consumers
@@ -66,11 +68,6 @@ type Kernel struct {
 	// arcOf[p] is the arc index of circuit path p (arcs are a
 	// permutation of paths: every path becomes exactly one arc).
 	arcOf []int32
-	// frozen marks a kernel shared through a Compiled snapshot: the
-	// mutating methods (SetDelay, Refold) panic so no caller can
-	// corrupt concurrent readers. Derive a private kernel through a
-	// DelayOverlay instead.
-	frozen bool
 	// shared holds the scratch pool and lazy fanout CSR, common to this
 	// kernel and every overlay-derived copy (see kernelShared).
 	shared *kernelShared
@@ -156,11 +153,10 @@ func (kn *Kernel) ShiftTable(sched *Schedule, buf []float64) []float64 {
 // withOverlay derives a private kernel reflecting an overlay's edits:
 // the immutable structure arrays stay shared with the receiver, the
 // weight arrays are copied and the edited arcs re-folded exactly as
-// SetPathDelay-then-Refold would compute them (W from the new delay,
-// Base/Span from the clamped MinDelay).
+// compiling a clone mutated by SetPathDelay would compute them (W from
+// the new delay, Base/Span from the clamped MinDelay).
 func (kn *Kernel) withOverlay(ov DelayOverlay) *Kernel {
 	out := *kn // shares Start/Src/PP/Path/PrevCycle/FF/arcOf
-	out.frozen = false
 	n := len(kn.W)
 	floats := make([]float64, 3*n)
 	out.W = floats[:n:n]
@@ -179,45 +175,6 @@ func (kn *Kernel) withOverlay(ov DelayOverlay) *Kernel {
 		out.Span[a] = e.delay - e.minDelay
 	}
 	return &out
-}
-
-// Refold re-reads every path's current delays from the circuit,
-// repairing the kernel after Circuit.SetPathDelay calls. Structure and
-// margins must be unchanged. Panics on a frozen (snapshot-shared)
-// kernel.
-func (kn *Kernel) Refold() {
-	if kn.frozen {
-		panic("core: Refold on a frozen kernel (shared via Compiled); derive one with DelayOverlay.Kernel")
-	}
-	for a := range kn.W {
-		pidx := int(kn.Path[a])
-		p := kn.c.Paths()[pidx]
-		kn.W[a] = ArcWeight(kn.c, kn.opts, pidx)
-		kn.Base[a] = kn.W[a] - p.Delay + p.MinDelay
-		kn.Span[a] = p.Delay - p.MinDelay
-	}
-}
-
-// SetDelay folds a new worst-case delay for circuit path pidx into the
-// kernel without touching the circuit (the incremental-analysis use:
-// Evaluator.SetDelay). Base/Span keep the construction-time best-case
-// delay, clamped so Span stays nonnegative. Panics on a frozen
-// (snapshot-shared) kernel.
-func (kn *Kernel) SetDelay(pidx int, delay float64) {
-	if kn.frozen {
-		panic("core: SetDelay on a frozen kernel (shared via Compiled); derive one with DelayOverlay.Kernel")
-	}
-	a := kn.arcOf[pidx]
-	old := kn.c.Paths()[pidx]
-	pj := kn.c.Sync(old.From).Phase
-	pi := kn.c.Sync(old.To).Phase
-	kn.W[a] = kn.c.Sync(old.From).DQ + delay + kn.opts.Skew + kn.opts.sigma(pj) + kn.opts.sigma(pi)
-	if span := delay - old.MinDelay; span >= 0 {
-		kn.Span[a] = span
-	} else {
-		kn.Span[a] = 0
-		kn.Base[a] = kn.W[a]
-	}
 }
 
 // Arrive evaluates the compiled arrival recurrence for synchronizer i

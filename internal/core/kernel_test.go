@@ -79,56 +79,6 @@ func TestKernelMatchesReferenceRecurrence(t *testing.T) {
 	}
 }
 
-// TestKernelSetDelayMatchesRecompile: folding a new delay into a live
-// kernel gives the same weights as compiling a fresh kernel from the
-// mutated circuit.
-func TestKernelSetDelayMatchesRecompile(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := randomCircuit(rng)
-		if len(c.Paths()) == 0 {
-			return true
-		}
-		opts := randomOptions(rng, c.K())
-		kn := CompileKernel(c, opts)
-		pidx := rng.Intn(len(c.Paths()))
-		nd := rng.Float64() * 80
-		kn.SetDelay(pidx, nd)
-		c.SetPathDelay(pidx, nd)
-		fresh := CompileKernel(c, opts)
-		for a := range kn.W {
-			if math.Abs(kn.W[a]-fresh.W[a]) > 1e-12 {
-				t.Logf("arc %d: W %v after SetDelay, %v fresh", a, kn.W[a], fresh.W[a])
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, quickConfig); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestKernelRefoldTracksCircuit: Refold after bulk SetPathDelay calls
-// matches a fresh compile exactly.
-func TestKernelRefoldTracksCircuit(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := randomCircuit(rng)
-	opts := randomOptions(rng, c.K())
-	kn := CompileKernel(c, opts)
-	for pidx := range c.Paths() {
-		c.SetPathDelay(pidx, rng.Float64()*60)
-	}
-	kn.Refold()
-	fresh := CompileKernel(c, opts)
-	for a := range kn.W {
-		if kn.W[a] != fresh.W[a] || kn.Base[a] != fresh.Base[a] || kn.Span[a] != fresh.Span[a] {
-			t.Fatalf("arc %d: refolded (%v,%v,%v) != fresh (%v,%v,%v)",
-				a, kn.W[a], kn.Base[a], kn.Span[a], fresh.W[a], fresh.Base[a], fresh.Span[a])
-		}
-	}
-}
-
 // TestKernelSlideMatchesReferenceFixpoint: the kernel-backed slide
 // lands on a propagation fixpoint of the *reference* operator — the
 // residual check below goes through departureOf, which uses the
@@ -196,24 +146,5 @@ func BenchmarkSlideDepartures(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkEvaluatorCheck measures one compiled schedule evaluation on
-// the same ring (the design-loop inner operation).
-func BenchmarkEvaluatorCheck(b *testing.B) {
-	c := benchRing(128)
-	r, err := MinTc(c, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev, err := NewEvaluator(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Check(r.Schedule)
 	}
 }

@@ -401,7 +401,7 @@ func slideDepartures(ctx context.Context, c *Circuit, kn *Kernel, shift, d []flo
 		steps := limit * (l + 1)
 		for n > 0 {
 			if steps--; steps < 0 {
-				return relaxations, relaxations, finishAtLeastFixpoint(kn, shift, d)
+				return relaxations, relaxations, finishAtLeastFixpoint(kn, shift, d, sc)
 			}
 			if steps&1023 == 0 {
 				if err := ctx.Err(); err != nil {
@@ -457,26 +457,25 @@ func slideDepartures(ctx context.Context, c *Circuit, kn *Kernel, shift, d []flo
 			iters = m + 1
 		}
 	}
-	return iters, relaxations, finishAtLeastFixpoint(kn, shift, d)
+	return iters, relaxations, finishAtLeastFixpoint(kn, shift, d, sc)
 }
 
 // finishAtLeastFixpoint ends a slide that hit its iteration cap. The
 // descent from the LP point moves a loop's departures by the loop's
 // slack at the schedule per pass, so a nearly critical loop needs far
 // more passes than the cap allows, while every loop with nonzero slack
-// has a unique fixpoint. The least fixpoint — computed exactly, as
-// CheckTc does — lies at or below the LP point's departures (the LP
-// point is a pre-fixpoint above the 0 floor), so it satisfies every
-// L1 and flip-flop setup row the LP point does and is the P1 solution
-// Theorem 1 asks for. d is overwritten with it; ErrNoConvergence only
-// if no fixpoint exists at the schedule (a loop gains delay every
-// cycle, a numerical pathology from an LP-optimal point).
-func finishAtLeastFixpoint(kn *Kernel, shift, d []float64) error {
-	lf, _ := leastFixpoint(kn, shift)
-	if lf == nil {
+// has a unique fixpoint. The least fixpoint — computed exactly, by the
+// propagation CheckTc runs — lies at or below the LP point's
+// departures (the LP point is a pre-fixpoint above the 0 floor), so it
+// satisfies every L1 and flip-flop setup row the LP point does and is
+// the P1 solution Theorem 1 asks for. d is overwritten with it;
+// ErrNoConvergence only if no fixpoint exists at the schedule (a loop
+// gains delay every cycle, a numerical pathology from an LP-optimal
+// point), and d is then meaningless.
+func finishAtLeastFixpoint(kn *Kernel, shift, d []float64, sc *slideScratch) error {
+	if leastFixpoint(kn, shift, d, sc) != nil {
 		return ErrNoConvergence
 	}
-	copy(d, lf)
 	return nil
 }
 

@@ -185,13 +185,13 @@ func (o DelayOverlay) Digest() uint64 {
 
 // Kernel returns a propagation kernel reflecting the overlay under the
 // given margin options. With no edits this is the snapshot's shared
-// frozen kernel (zero-copy; evaluation-only). With edits it is a
+// read-only kernel (zero-copy). With edits it is a
 // private kernel owned by the caller: the immutable structure arrays
 // (Start/Src/PP/Path/…) are shared with the base kernel while the
 // weight arrays (W/Base/Span) are copied and re-folded for the edited
 // paths — O(arcs) to copy, O(edits) to fold. The result is
-// bit-identical to mutating a circuit clone with SetPathDelay and
-// calling Refold (overlay_suite_test.go pins this property).
+// bit-identical to compiling a circuit clone mutated with SetPathDelay
+// (overlay_suite_test.go pins this property).
 func (o DelayOverlay) Kernel(opts Options) *Kernel {
 	base := o.base.KernelFor(opts)
 	if len(o.edits) == 0 {

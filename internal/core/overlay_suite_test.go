@@ -12,7 +12,8 @@ import (
 // property test: over every benchmark-suite workload and rounds of
 // random delay edits, a DelayOverlay-backed kernel must match — arc by
 // arc, bit for bit — the kernel obtained the classic way: clone the
-// circuit, apply the same edits with SetPathDelay, and Refold. This
+// circuit, apply the same edits with SetPathDelay, and compile the
+// clone afresh (re-folding every arc from the mutated delays). This
 // pins the overlay fold to SetPathDelay semantics (including the
 // MinDelay clamp), so overlay solves and mutate-and-solve can never
 // drift apart.
@@ -34,7 +35,6 @@ func TestOverlayKernelMatchesRefoldOnSuite(t *testing.T) {
 				// well above the original.
 				ov := cc.Overlay()
 				clone := c.Clone()
-				knMut := core.CompileKernel(clone, opts)
 				edits := 1 + rng.Intn(5)
 				for e := 0; e < edits; e++ {
 					pidx := rng.Intn(nPaths)
@@ -45,7 +45,7 @@ func TestOverlayKernelMatchesRefoldOnSuite(t *testing.T) {
 					ov = ov.With(pidx, d)
 					clone.SetPathDelay(pidx, d)
 				}
-				knMut.Refold()
+				knMut := core.CompileKernel(clone, opts)
 				knOv := ov.Kernel(opts)
 				if len(knOv.W) != len(knMut.W) {
 					t.Fatalf("trial %d: arc count %d != %d", trial, len(knOv.W), len(knMut.W))

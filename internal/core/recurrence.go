@@ -9,10 +9,11 @@ import "math"
 //	D_i = 0 for flip-flops, max(0, A_i) for latches
 //
 // Every computation of that recurrence — the LP rows (BuildLP), the
-// analysis fixpoint (CheckTc), the MLP departure slide, the compiled
-// Evaluator, and the cycle-accurate and Monte-Carlo simulators — goes
-// through ArcWeight/Arrive/DepartLatch below, so the engines cannot
-// drift apart on margins or flip-flop conventions.
+// analysis fixpoint (CheckTc), the MLP departure slide, and the
+// cycle-accurate and Monte-Carlo simulators — goes through
+// ArcWeight/Arrive/DepartLatch below (the Kernel folds and evaluates
+// the same terms), so the engines cannot drift apart on margins or
+// flip-flop conventions.
 
 // ArcWeight returns the margin-adjusted transfer weight of path pidx:
 //
@@ -36,8 +37,7 @@ func ArcWeight(c *Circuit, opts Options, pidx int) float64 {
 //   - dep gives the source departure (schedule-relative for the static
 //     analyses, absolute and cycle-aware for the simulators);
 //   - weight gives the transfer weight of a path (ArcWeight for the
-//     nominal/margined operator, a precompiled constant for the
-//     Evaluator, a sampled delay for Monte Carlo);
+//     nominal/margined operator, a sampled delay for Monte Carlo);
 //   - shift maps the source phase into the destination's frame
 //     (Schedule.PhaseShift for local time, zero for absolute time).
 //

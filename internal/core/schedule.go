@@ -78,41 +78,55 @@ func (v ClockViolation) String() string {
 // against the circuit's K matrix and returns all violations (nil when
 // the schedule is a legal k-phase clock for the circuit).
 func (sc *Schedule) ValidateClock(c *Circuit) []ClockViolation {
+	return sc.validateClock(c, c.KMatrix())
+}
+
+// validateClock is ValidateClock with the K matrix supplied (a frozen
+// snapshot caches it). Constraint names are formatted only for the
+// violated rows, so a legal clock costs no allocation.
+func (sc *Schedule) validateClock(c *Circuit, km [][]int) []ClockViolation {
 	var out []ClockViolation
 	k := sc.K()
 	if k != c.K() {
 		return []ClockViolation{{Constraint: fmt.Sprintf("phase count %d != circuit %d", k, c.K()), Amount: math.Abs(float64(k - c.K()))}}
 	}
-	add := func(name string, amount float64) {
-		if amount > Eps {
-			out = append(out, ClockViolation{Constraint: name, Amount: amount})
+	// add records a violation of the row named by format over the
+	// names of the given phases.
+	add := func(amount float64, format string, phases ...int) {
+		if amount <= Eps {
+			return
 		}
+		names := make([]any, len(phases))
+		for i, p := range phases {
+			names[i] = c.PhaseName(p)
+		}
+		out = append(out, ClockViolation{Constraint: fmt.Sprintf(format, names...), Amount: amount})
 	}
 	// C4 nonnegativity.
-	add("C4 Tc >= 0", -sc.Tc)
+	add(-sc.Tc, "C4 Tc >= 0")
 	for i := 0; i < k; i++ {
-		add(fmt.Sprintf("C4 T(%s) >= 0", c.PhaseName(i)), -sc.T[i])
-		add(fmt.Sprintf("C4 s(%s) >= 0", c.PhaseName(i)), -sc.S[i])
+		add(-sc.T[i], "C4 T(%s) >= 0", i)
+		add(-sc.S[i], "C4 s(%s) >= 0", i)
 		// C1 periodicity.
-		add(fmt.Sprintf("C1 T(%s) <= Tc", c.PhaseName(i)), sc.T[i]-sc.Tc)
-		add(fmt.Sprintf("C1 s(%s) <= Tc", c.PhaseName(i)), sc.S[i]-sc.Tc)
+		add(sc.T[i]-sc.Tc, "C1 T(%s) <= Tc", i)
+		add(sc.S[i]-sc.Tc, "C1 s(%s) <= Tc", i)
 	}
 	// C2 phase ordering.
 	for i := 0; i+1 < k; i++ {
-		add(fmt.Sprintf("C2 s(%s) <= s(%s)", c.PhaseName(i), c.PhaseName(i+1)), sc.S[i]-sc.S[i+1])
+		add(sc.S[i]-sc.S[i+1], "C2 s(%s) <= s(%s)", i, i+1)
 	}
 	// C3 phase nonoverlap for every I/O phase pair (K_ij = 1):
-	// s_i >= s_j + T_j − C_ji·Tc.
-	km := c.KMatrix()
-	cm := c.CMatrix()
+	// s_i >= s_j + T_j − C_ji·Tc, where C_ji = 1 iff j >= i.
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
 			if km[i][j] == 0 {
 				continue
 			}
-			lhs := sc.S[i]
-			rhs := sc.S[j] + sc.T[j] - float64(cm[j][i])*sc.Tc
-			add(fmt.Sprintf("C3 nonoverlap %s->%s", c.PhaseName(i), c.PhaseName(j)), rhs-lhs)
+			cji := 0.0
+			if j >= i {
+				cji = 1
+			}
+			add(sc.S[j]+sc.T[j]-cji*sc.Tc-sc.S[i], "C3 nonoverlap %s->%s", i, j)
 		}
 	}
 	return out

@@ -271,3 +271,57 @@ func TestTrivialBindingWitness(t *testing.T) {
 		t.Fatalf("critical cycle %+v (ratio %v), want the setup loop %+v", res.CriticalArcs, res.CriticalRatio, want)
 	}
 }
+
+// TestSharedStateMatchesFreshBitwise: Solve reconciles its State's
+// coupling solver to each overlay through mcr.Solver.SetDelayMin, so
+// a solve with one State shared across edits must answer bit for bit
+// like a solve without a State. Every gen.Suite path is raised to
+// 2d+5 in turn, on the plain circuits and on hold variants under
+// DesignForHold.
+func TestSharedStateMatchesFreshBitwise(t *testing.T) {
+	ctx := context.Background()
+	sameBits := func(x, y []float64) bool {
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return len(x) == len(y)
+	}
+	for _, bm := range gen.Suite() {
+		hold := core.NewCircuit(bm.Circuit.K())
+		for _, s := range bm.Circuit.Syncs() {
+			s.Hold = 0.1
+			hold.AddSync(s)
+		}
+		for _, p := range bm.Circuit.Paths() {
+			p.MinDelay = p.Delay / 2
+			hold.AddPathFull(p)
+		}
+		for _, v := range []struct {
+			c    *core.Circuit
+			opts core.Options
+		}{
+			{bm.Circuit, core.Options{}},
+			{hold, core.Options{DesignForHold: true}},
+		} {
+			base := v.c.MustFreeze().Overlay()
+			st := NewState()
+			for p, path := range v.c.Paths() {
+				ov := base.With(p, 2*path.Delay+5)
+				got, gerr := Solve(ctx, ov, v.opts, Config{Workers: 1}, st)
+				want, werr := Solve(ctx, ov, v.opts, Config{Workers: 1}, nil)
+				if (gerr == nil) != (werr == nil) {
+					t.Fatalf("%s hold=%v path %d: shared State err %v, none %v", bm.Name, v.opts.DesignForHold, p, gerr, werr)
+				}
+				if gerr != nil {
+					continue
+				}
+				if math.Float64bits(got.Tc) != math.Float64bits(want.Tc) || !sameBits(got.D, want.D) ||
+					!reflect.DeepEqual(got.Schedule, want.Schedule) {
+					t.Fatalf("%s hold=%v path %d: shared State Tc %v, none %v", bm.Name, v.opts.DesignForHold, p, got.Tc, want.Tc)
+				}
+			}
+		}
+	}
+}

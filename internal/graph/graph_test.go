@@ -26,49 +26,6 @@ func TestAddEdgeOutOfRangePanics(t *testing.T) {
 	g.AddEdge(0, 5, 1)
 }
 
-func TestTopoSortDAG(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(0, 2, 0)
-	g.AddEdge(1, 3, 0)
-	g.AddEdge(2, 3, 0)
-	g.AddEdge(3, 4, 0)
-	order, ok := g.TopoSort()
-	if !ok {
-		t.Fatal("TopoSort reported cycle on a DAG")
-	}
-	pos := make([]int, 5)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for _, e := range allEdges(g) {
-		if pos[e.From] >= pos[e.To] {
-			t.Errorf("edge %d->%d violates topological order", e.From, e.To)
-		}
-	}
-}
-
-func TestTopoSortCycle(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(1, 2, 0)
-	g.AddEdge(2, 0, 0)
-	if _, ok := g.TopoSort(); ok {
-		t.Fatal("TopoSort did not detect cycle")
-	}
-	if !g.HasCycle() {
-		t.Fatal("HasCycle = false, want true")
-	}
-}
-
-func TestHasCycleSelfLoop(t *testing.T) {
-	g := New(1)
-	g.AddEdge(0, 0, 1)
-	if !g.HasCycle() {
-		t.Fatal("self-loop not detected as cycle")
-	}
-}
-
 func TestSCCBasic(t *testing.T) {
 	// Two SCCs: {0,1,2} and {3}, plus isolated {4}.
 	g := New(5)
@@ -76,7 +33,7 @@ func TestSCCBasic(t *testing.T) {
 	g.AddEdge(1, 2, 0)
 	g.AddEdge(2, 0, 0)
 	g.AddEdge(2, 3, 0)
-	comps, comp := g.SCC()
+	comps, comp := scc(g)
 	if len(comps) != 3 {
 		t.Fatalf("got %d components, want 3: %v", len(comps), comps)
 	}
@@ -97,7 +54,7 @@ func TestSCCAllSingletons(t *testing.T) {
 	g.AddEdge(0, 1, 0)
 	g.AddEdge(1, 2, 0)
 	g.AddEdge(2, 3, 0)
-	comps, _ := g.SCC()
+	comps, _ := scc(g)
 	if len(comps) != 4 {
 		t.Fatalf("got %d components, want 4", len(comps))
 	}
@@ -166,7 +123,7 @@ func TestSCCRandomAgainstNaive(t *testing.T) {
 		for e := rng.Intn(3 * n); e > 0; e-- {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), 0)
 		}
-		_, comp := g.SCC()
+		_, comp := scc(g)
 		want := naiveSCC(g)
 		// Compare as partitions: same component iff same naive component.
 		for i := 0; i < n; i++ {
@@ -177,127 +134,6 @@ func TestSCCRandomAgainstNaive(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestLongestPathsFromSimple(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 5)
-	g.AddEdge(0, 2, 2)
-	g.AddEdge(2, 1, 4)
-	g.AddEdge(1, 3, 1)
-	res := g.LongestPathsFrom(0)
-	if res.PositiveCycle != nil {
-		t.Fatalf("unexpected positive cycle: %v", res.PositiveCycle)
-	}
-	want := []float64{0, 6, 2, 7}
-	for i, w := range want {
-		if math.Abs(res.Dist[i]-w) > 1e-12 {
-			t.Errorf("Dist[%d] = %g, want %g", i, res.Dist[i], w)
-		}
-	}
-}
-
-func TestLongestPathsUnreachable(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	res := g.LongestPathsFrom(0)
-	if !math.IsInf(res.Dist[2], -1) {
-		t.Errorf("Dist[2] = %g, want -Inf", res.Dist[2])
-	}
-}
-
-func TestLongestPathsPositiveCycle(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 1, 1) // cycle 1->2->1 with weight 2 > 0
-	res := g.LongestPathsFrom(0)
-	if res.PositiveCycle == nil {
-		t.Fatal("positive cycle not detected")
-	}
-	set := map[int]bool{}
-	for _, v := range res.PositiveCycle {
-		set[v] = true
-	}
-	if !set[1] || !set[2] {
-		t.Errorf("cycle %v does not contain nodes 1,2", res.PositiveCycle)
-	}
-}
-
-func TestLongestPathsZeroCycleOK(t *testing.T) {
-	// A zero-weight cycle must NOT be reported as positive.
-	g := New(3)
-	g.AddEdge(0, 1, 3)
-	g.AddEdge(1, 2, 2)
-	g.AddEdge(2, 1, -2)
-	res := g.LongestPathsFrom(0)
-	if res.PositiveCycle != nil {
-		t.Fatalf("zero cycle misreported as positive: %v", res.PositiveCycle)
-	}
-	if math.Abs(res.Dist[1]-3) > 1e-9 || math.Abs(res.Dist[2]-5) > 1e-9 {
-		t.Errorf("dists = %v, want [0 3 5]", res.Dist)
-	}
-}
-
-func TestLongestPathsNegativeSelfLoop(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 1, -1)
-	res := g.LongestPathsFrom(0)
-	if res.PositiveCycle != nil {
-		t.Fatal("negative self-loop misreported")
-	}
-	if res.Dist[1] != 1 {
-		t.Errorf("Dist[1] = %g, want 1", res.Dist[1])
-	}
-}
-
-func TestLongestPathsPositiveSelfLoop(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 1, 0.5)
-	res := g.LongestPathsFrom(0)
-	if res.PositiveCycle == nil {
-		t.Fatal("positive self-loop not detected")
-	}
-}
-
-func TestLongestPathDAGMatchesBellmanFord(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 100; iter++ {
-		n := 2 + rng.Intn(10)
-		g := New(n)
-		// Random DAG: edges only from lower to higher index.
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Float64() < 0.4 {
-					g.AddEdge(u, v, rng.Float64()*10-3)
-				}
-			}
-		}
-		want := g.LongestPathsFrom(0)
-		got := g.LongestPathDAG(0)
-		for i := range got {
-			if math.IsInf(got[i], -1) != math.IsInf(want.Dist[i], -1) {
-				t.Fatalf("reachability mismatch at %d", i)
-			}
-			if !math.IsInf(got[i], -1) && math.Abs(got[i]-want.Dist[i]) > 1e-9 {
-				t.Fatalf("dist mismatch at %d: %g vs %g", i, got[i], want.Dist[i])
-			}
-		}
-	}
-}
-
-func TestLongestPathDAGPanicsOnCycle(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on cyclic input")
-		}
-	}()
-	g.LongestPathDAG(0)
 }
 
 func TestSimpleCyclesTriangleAndSelfLoop(t *testing.T) {
@@ -412,20 +248,6 @@ func BenchmarkSCC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.SCC()
-	}
-}
-
-func BenchmarkLongestPathsFrom(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(2))
-	g := New(500)
-	for e := 0; e < 2000; e++ {
-		u, v := rng.Intn(500), rng.Intn(500)
-		g.AddEdge(u, v, -rng.Float64())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.LongestPathsFrom(0)
+		scc(g)
 	}
 }

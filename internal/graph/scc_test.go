@@ -2,6 +2,37 @@ package graph
 
 import "testing"
 
+// scc runs SCCCSR over g's out-arcs in insertion order and returns
+// the components as node lists; comp maps each node to its component
+// index in that list.
+func scc(g *Graph) (components [][]int, comp []int) {
+	start := make([]int32, g.n+1)
+	for u, es := range g.out {
+		start[u+1] = start[u] + int32(len(es))
+	}
+	adj := make([]int32, start[g.n])
+	for u, es := range g.out {
+		for i, e := range es {
+			adj[int(start[u])+i] = int32(e.To)
+		}
+	}
+	comp32, members, compStart := SCCCSR(start, adj)
+	components = make([][]int, len(compStart)-1)
+	for ci := range components {
+		ms := members[compStart[ci]:compStart[ci+1]]
+		c := make([]int, len(ms))
+		for i, v := range ms {
+			c[i] = int(v)
+		}
+		components[ci] = c
+	}
+	comp = make([]int, g.n)
+	for v, ci := range comp32 {
+		comp[v] = int(ci)
+	}
+	return components, comp
+}
+
 // checkPartition validates the SCC invariants every caller relies on:
 // comp is a total map consistent with components, members are sorted,
 // and the order is reverse topological (an edge u→v across components
@@ -54,7 +85,7 @@ func TestSCCSelfLoops(t *testing.T) {
 	g.AddEdge(2, 2, 1) // parallel self-loop
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
-	components, comp := g.SCC()
+	components, comp := scc(g)
 	checkPartition(t, g, components, comp)
 	if len(components) != 5 {
 		t.Fatalf("want 5 singleton components, got %d: %v", len(components), components)
@@ -68,7 +99,7 @@ func TestSCCSingleNodeComponents(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(2, 3, 1)
-	components, comp := g.SCC()
+	components, comp := scc(g)
 	checkPartition(t, g, components, comp)
 	if len(components) != 4 {
 		t.Fatalf("want 4 components, got %d", len(components))
@@ -92,7 +123,7 @@ func TestSCCChainOfTwoCycles(t *testing.T) {
 			g.AddEdge(b, 2*(i+1), 1)
 		}
 	}
-	components, comp := g.SCC()
+	components, comp := scc(g)
 	checkPartition(t, g, components, comp)
 	if len(components) != k {
 		t.Fatalf("want %d components, got %d", k, len(components))
@@ -114,7 +145,7 @@ func TestSCCOneGiantCycle(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g.AddEdge(i, (i+1)%n, 1)
 	}
-	components, comp := g.SCC()
+	components, comp := scc(g)
 	checkPartition(t, g, components, comp)
 	if len(components) != 1 || len(components[0]) != n {
 		t.Fatalf("want one %d-node component, got %d components", n, len(components))

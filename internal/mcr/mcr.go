@@ -319,38 +319,60 @@ func newBuilder(ov core.DelayOverlay, opts core.Options, members []int32) *build
 			b.pathEdge[pidx] = -1
 			continue
 		}
-		sj, si := &syncs[j], &syncs[i]
-		pj, pi := sj.Phase, si.Phase
+		si := &syncs[i]
+		pj, pi := syncs[j].Phase, si.Phase
 		cji := 0.0
 		if pj >= pi {
 			cji = 1
 		}
-		// Same margin-adjusted transfer weight as the LP's L2R rows and
-		// the analysis fixpoint, with the delay read through the overlay.
-		w := ov.ArcWeight(opts, pidx)
 		b.pathEdge[pidx] = int32(len(b.edges))
+		a := b.pathA(pidx, ov.Delay(pidx))
 		switch si.Kind {
 		case core.Latch:
 			// L2R: u_i >= u_j + w − C·Tc.
-			add(b.u[j], b.u[i], w, -cji)
+			add(b.u[j], b.u[i], a, -cji)
 		case core.FlipFlop:
 			// FF setup: s_{p_i} >= u_j + w + ΔDC_i − C·Tc.
-			add(b.u[j], b.s[pi], w+si.Setup, -cji)
+			add(b.u[j], b.s[pi], a, -cji)
 		}
 		// Conservative hold rows, mirroring core.BuildLP exactly:
 		// s_pj − [e_pi (latch) | s_pi (FF)] >= K − (1−C)·Tc.
 		if opts.DesignForHold && si.Hold > 0 {
-			kconst := si.Hold - sj.DQ - ov.MinDelay(pidx) +
-				opts.Skew + sigma(opts, pj) + sigma(opts, pi)
 			from := b.e[pi]
 			if si.Kind == core.FlipFlop {
 				from = b.s[pi]
 			}
 			b.holdEdge[pidx] = int32(len(b.edges))
-			add(from, b.s[pj], kconst, -(1 - cji))
+			add(from, b.s[pj], b.holdA(pidx, ov.MinDelay(pidx)), -(1 - cji))
 		}
 	}
 	return b
+}
+
+// pathA is the constant of path pidx's constraint edge at worst-case
+// delay d: the margin-adjusted transfer weight w of the LP's L2R rows
+// and the analysis fixpoint, summed in core.ArcWeight's order
+// (ΔDQ_j + d + Skew + σ_pj + σ_pi), plus the setup ΔDC_i on a
+// flip-flop's edge. Building and Solver.SetDelay both sum it here, so
+// an edited solver holds exactly the constants of one built over the
+// edited overlay.
+func (b *builder) pathA(pidx int, d float64) float64 {
+	p, syncs := &b.c.Paths()[pidx], b.c.Syncs()
+	sj, si := &syncs[p.From], &syncs[p.To]
+	w := sj.DQ + d + b.opts.Skew + sigma(b.opts, sj.Phase) + sigma(b.opts, si.Phase)
+	if si.Kind == core.FlipFlop {
+		w += si.Setup
+	}
+	return w
+}
+
+// holdA is the constant K of path pidx's conservative hold edge at
+// best-case delay minD, summed in core.BuildLP's order:
+// ΔH_i − ΔDQ_j − minD + Skew + σ_pj + σ_pi.
+func (b *builder) holdA(pidx int, minD float64) float64 {
+	p, syncs := &b.c.Paths()[pidx], b.c.Syncs()
+	sj, si := &syncs[p.From], &syncs[p.To]
+	return si.Hold - sj.DQ - minD + b.opts.Skew + sigma(b.opts, sj.Phase) + sigma(b.opts, si.Phase)
 }
 
 // nodeName renders constraint-graph node v: "origin", "s.<phase>",

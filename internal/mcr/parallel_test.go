@@ -305,11 +305,10 @@ func TestInqClearDiscipline(t *testing.T) {
 // coupling pass applies it), and solves again. Tc, departures and the
 // witness arcs must be bitwise those of a fresh solver that took the
 // same edits before its first probe, so its copy was built from the
-// edited constants. A solver built over the edited overlay must agree
-// to 1e-9: SetDelay adds the new delay to the stored constant minus
-// the old one, which rounds differently from summing the weight
-// afresh. The hold variants put the cut below MinDelay, so the hold
-// edges' constants move too.
+// edited constants, and Tc bitwise that of a solver built over the
+// edited overlay (SetDelay sums each constant as a build does). The
+// hold variants put the cut below MinDelay, so the hold edges'
+// constants move too.
 func TestSetDelayChunkedMatchesFresh(t *testing.T) {
 	type tcase struct {
 		name string
@@ -373,7 +372,7 @@ func TestSetDelayChunkedMatchesFresh(t *testing.T) {
 		if gerr != nil {
 			continue
 		}
-		if math.Abs(got.Tc-built.Tc) > 1e-9*(1+math.Abs(built.Tc)) {
+		if math.Float64bits(got.Tc) != math.Float64bits(built.Tc) {
 			t.Fatalf("%s: edited solver Tc %v, solver built over the edited overlay %v", tc.name, got.Tc, built.Tc)
 		}
 		if math.Float64bits(got.Tc) != math.Float64bits(want.Tc) {

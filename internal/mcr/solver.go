@@ -10,43 +10,30 @@ import (
 // Solver is a reusable min-cycle-ratio engine for design iterations:
 // the constraint graph is built once and worst-case path delays may be
 // updated in place between solves — the design-side analogue of
-// core.Evaluator. The circuit's structure (synchronizers, paths, and
-// every option other than the delays) is fixed at construction.
+// repeated core.CheckTcOverlay calls over one frozen snapshot. The
+// circuit's structure (synchronizers, paths, and every option other
+// than the delays) is fixed at construction.
 type Solver struct {
 	b    *builder
 	opts core.Options
-	// baseA[p] is the affine constant of path p's edge minus the
-	// worst-case delay, so SetDelay is a single write.
-	baseA []float64
-	// holdBaseA[p] and consMin[p] are the construction-time affine
-	// constant and best-case delay of path p's hold edge (when one
-	// exists): SetDelay repairs the hold constant with the same
-	// MinDelay clamp DelayOverlay.With applies — the effective
-	// best-case delay is min(construction MinDelay, new delay), so the
-	// repaired constant is holdBaseA + (consMin − clamped). Both are
-	// nil without DesignForHold, which emits no hold edges.
-	holdBaseA []float64
-	consMin   []float64
+	// consMin[p] is the construction-time best-case delay of path p
+	// when it carries a hold edge: SetDelay clamps the new best-case
+	// delay to min(consMin, d), the composition DelayOverlay.With
+	// applies. nil without DesignForHold, which emits no hold edges.
+	consMin []float64
 }
 
-// newSolverOn wraps a built constraint graph, recording the per-path
-// base constants SetDelay repairs, with delays (and best-case delays)
-// read through the overlay the graph was built from.
+// newSolverOn wraps a built constraint graph, recording the
+// construction-time best-case delays SetDelay clamps against, read
+// through the overlay the graph was built from.
 func newSolverOn(b *builder, opts core.Options, ov core.DelayOverlay) *Solver {
-	n := len(b.pathEdge)
-	s := &Solver{b: b, opts: opts, baseA: make([]float64, n)}
+	s := &Solver{b: b, opts: opts}
 	if opts.DesignForHold {
-		s.holdBaseA = make([]float64, n)
-		s.consMin = make([]float64, n)
-	}
-	for p, ei := range b.pathEdge {
-		if ei < 0 {
-			continue // outside the subsystem; SetDelay panics on it
-		}
-		s.baseA[p] = b.edges[ei].a - ov.Delay(p)
-		if hi := b.holdEdge[p]; hi >= 0 {
-			s.holdBaseA[p] = b.edges[hi].a
-			s.consMin[p] = ov.MinDelay(p)
+		s.consMin = make([]float64, len(b.pathEdge))
+		for p, hi := range b.holdEdge {
+			if hi >= 0 {
+				s.consMin[p] = ov.MinDelay(p)
+			}
 		}
 	}
 	return s
@@ -57,25 +44,18 @@ func newSolverOn(b *builder, opts core.Options, ov core.DelayOverlay) *Solver {
 // conservative hold edge, its best-case delay is clamped to
 // min(construction MinDelay, d) — the same composition
 // DelayOverlay.With and Circuit.SetPathDelay apply — and the hold
-// constant repaired accordingly. On a component solver
-// (NewComponentSolver) only intra-component paths may be edited; the
-// rest are not part of the subsystem and panic.
+// constant recomputed accordingly. Constants are summed afresh, as a
+// build does, so the edited solver answers bit for bit like one built
+// over the edited overlay. On a component solver (NewComponentSolver)
+// only intra-component paths may be edited; the rest are not part of
+// the subsystem and panic.
 func (s *Solver) SetDelay(p int, d float64) {
-	if p < 0 || p >= len(s.baseA) {
-		panic(fmt.Sprintf("mcr: Solver.SetDelay path %d out of range", p))
+	ei := s.edgeOf("SetDelay", p)
+	minEff := d
+	if s.consMin != nil && s.consMin[p] < d {
+		minEff = s.consMin[p]
 	}
-	ei := s.b.pathEdge[p]
-	if ei < 0 {
-		panic(fmt.Sprintf("mcr: Solver.SetDelay path %d is outside this solver's subsystem", p))
-	}
-	s.b.setA(ei, s.baseA[p]+d)
-	if hi := s.b.holdEdge[p]; hi >= 0 {
-		m := s.consMin[p]
-		if d < m {
-			m = d
-		}
-		s.b.setA(hi, s.holdBaseA[p]+(s.consMin[p]-m))
-	}
+	s.setDelay(ei, p, d, minEff)
 }
 
 // SetDelayMin is SetDelay with a caller-supplied effective best-case
@@ -86,16 +66,26 @@ func (s *Solver) SetDelay(p int, d float64) {
 // would produce — the caller reads the overlay's own MinDelay and
 // passes it through verbatim.
 func (s *Solver) SetDelayMin(p int, d, minEff float64) {
-	if p < 0 || p >= len(s.baseA) {
-		panic(fmt.Sprintf("mcr: Solver.SetDelayMin path %d out of range", p))
+	s.setDelay(s.edgeOf("SetDelayMin", p), p, d, minEff)
+}
+
+// edgeOf returns path p's constraint edge, panicking (as method name)
+// when p is out of range or outside the solver's subsystem.
+func (s *Solver) edgeOf(name string, p int) int32 {
+	if p < 0 || p >= len(s.b.pathEdge) {
+		panic(fmt.Sprintf("mcr: Solver.%s path %d out of range", name, p))
 	}
 	ei := s.b.pathEdge[p]
 	if ei < 0 {
-		panic(fmt.Sprintf("mcr: Solver.SetDelayMin path %d is outside this solver's subsystem", p))
+		panic(fmt.Sprintf("mcr: Solver.%s path %d is outside this solver's subsystem", name, p))
 	}
-	s.b.setA(ei, s.baseA[p]+d)
+	return ei
+}
+
+func (s *Solver) setDelay(ei int32, p int, d, minEff float64) {
+	s.b.setA(ei, s.b.pathA(p, d))
 	if hi := s.b.holdEdge[p]; hi >= 0 {
-		s.b.setA(hi, s.holdBaseA[p]+(s.consMin[p]-minEff))
+		s.b.setA(hi, s.b.holdA(p, minEff))
 	}
 }
 

@@ -1,7 +1,9 @@
 package mcr
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"mintc/internal/circuits"
@@ -165,4 +167,94 @@ func TestBuildAllocs(t *testing.T) {
 		t.Errorf("build allocations grow with the circuit: full %.0f -> %.0f, component %.0f -> %.0f",
 			smallFull, bigFull, smallComp, bigComp)
 	}
+}
+
+// holdVariant rebuilds a circuit with a hold requirement on every
+// synchronizer and MinDelay at half of every delay, so DesignForHold
+// emits a hold edge per path.
+func holdVariant(c *core.Circuit) *core.Circuit {
+	out := core.NewCircuit(c.K())
+	for _, s := range c.Syncs() {
+		s.Hold = 0.1
+		out.AddSync(s)
+	}
+	for _, p := range c.Paths() {
+		p.MinDelay = p.Delay / 2
+		out.AddPathFull(p)
+	}
+	return out
+}
+
+// TestSetDelayMatchesFreshBuild: an edited solver must answer bit for
+// bit like a solver built over the edited overlay. Every gen.Suite
+// path, on the plain circuit and on a hold variant under
+// DesignForHold with a skew margin, is raised to 2d+5 and then cut to
+// a quarter of its MinDelay (which moves the hold edge too), each
+// edit on one long-lived solver: every edge constant, Tc, D and the
+// witness arcs must equal the fresh build's, and editing the delay
+// back must restore the original constants exactly.
+func TestSetDelayMatchesFreshBuild(t *testing.T) {
+	consts := func(s *Solver) []float64 {
+		a := make([]float64, len(s.b.edges))
+		for i, e := range s.b.edges {
+			a[i] = e.a
+		}
+		return a
+	}
+	sameBits := func(x, y []float64) bool {
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return len(x) == len(y)
+	}
+	edits := 0
+	for _, bm := range gen.Suite() {
+		for _, v := range []struct {
+			name string
+			c    *core.Circuit
+			opts core.Options
+		}{
+			{"plain", bm.Circuit, core.Options{}},
+			{"hold", holdVariant(bm.Circuit), core.Options{DesignForHold: true, Skew: 0.125}},
+		} {
+			base := v.c.MustFreeze().Overlay()
+			s, err := NewSolverOverlay(base, v.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig := consts(s)
+			for p, path := range v.c.Paths() {
+				for _, d := range []float64{2*path.Delay + 5, path.MinDelay / 4} {
+					where := fmt.Sprintf("%s/%s path %d -> %v", bm.Name, v.name, p, d)
+					s.SetDelay(p, d)
+					fresh, err := NewSolverOverlay(base.With(p, d), v.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(consts(s), consts(fresh)) {
+						t.Fatalf("%s: edge constants differ from a fresh build", where)
+					}
+					got, gerr := s.Solve()
+					want, werr := fresh.Solve()
+					if (gerr == nil) != (werr == nil) {
+						t.Fatalf("%s: edited solver err %v, fresh build %v", where, gerr, werr)
+					}
+					if gerr == nil {
+						if math.Float64bits(got.Tc) != math.Float64bits(want.Tc) || !sameBits(got.D, want.D) ||
+							!reflect.DeepEqual(got.CriticalArcs, want.CriticalArcs) {
+							t.Fatalf("%s: edited solver Tc %v, fresh build %v", where, got.Tc, want.Tc)
+						}
+					}
+					edits++
+				}
+				s.SetDelayMin(p, path.Delay, path.MinDelay)
+				if !sameBits(consts(s), orig) {
+					t.Fatalf("%s/%s path %d: restoring the delay left different constants", bm.Name, v.name, p)
+				}
+			}
+		}
+	}
+	t.Logf("%d edits", edits)
 }

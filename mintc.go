@@ -187,7 +187,7 @@ func MinTcFrequencySearch(c *Circuit, duty, tol float64) (*FrequencySearchResult
 
 // MCRSolver is a reusable min-cycle-ratio engine: compile once, update
 // delays with SetDelay, re-solve cheaply — the design-side analogue of
-// the Evaluator.
+// repeated CheckTcOverlay calls over one frozen snapshot.
 type MCRSolver = mcr.Solver
 
 // NewMCRSolver compiles a circuit for repeated min-cycle-ratio solves.
@@ -356,17 +356,6 @@ func ParametricDelay(c *Circuit, opts Options, pathIndex int, from, to float64) 
 // Breakpoints returns the interior delay values where a parametric
 // curve's slope changes.
 func Breakpoints(segs []DelaySegment) []float64 { return core.Breakpoints(segs) }
-
-// Evaluator pre-compiles a circuit for fast repeated timing analysis
-// (LEADOUT-style); see NewEvaluator.
-type Evaluator = core.Evaluator
-
-// QuickAnalysis is the result of Evaluator.Check.
-type QuickAnalysis = core.QuickAnalysis
-
-// NewEvaluator compiles a circuit for fast repeated Check calls with
-// varying schedules or delays.
-func NewEvaluator(c *Circuit) (*Evaluator, error) { return core.NewEvaluator(c) }
 
 // NormalizePhases relabels a circuit's clock phases so the given
 // schedule's start times are nondecreasing (the paper's §III.A

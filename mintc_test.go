@@ -173,18 +173,36 @@ func TestPublicLexAndParametric(t *testing.T) {
 	}
 }
 
-func TestPublicEvaluator(t *testing.T) {
+// TestPublicOverlayWhatIf: repeated what-if analyses over one frozen
+// snapshot — the optimal GaAs schedule passes, a grossly slowed path
+// fails it, and the snapshot itself is untouched by either.
+func TestPublicOverlayWhatIf(t *testing.T) {
 	c := mintc.PaperGaAsMIPS()
-	ev, err := mintc.NewEvaluator(c)
+	cc, err := mintc.Freeze(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mintc.MinTc(c, mintc.Options{})
+	r, err := mintc.MinTcOverlay(cc.Overlay(), mintc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q := ev.Check(r.Schedule); !q.Feasible {
-		t.Errorf("evaluator rejects optimal GaAs schedule: %+v", q)
+	an, err := mintc.CheckTcOverlay(cc.Overlay(), r.Schedule, mintc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !an.Feasible {
+		t.Fatalf("optimal GaAs schedule rejected: %v", an.Violations)
+	}
+	slow := cc.Overlay().With(0, c.Paths()[0].Delay+10*r.Schedule.Tc)
+	an, err = mintc.CheckTcOverlay(slow, r.Schedule, mintc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if an.Feasible {
+		t.Fatal("a path slowed by ten cycles still passes the optimal schedule")
+	}
+	if got := cc.Circuit().Paths()[0].Delay; got != c.Paths()[0].Delay {
+		t.Errorf("snapshot delay %g after the what-if, want %g", got, c.Paths()[0].Delay)
 	}
 }
 
