@@ -300,6 +300,41 @@ func TestCheckTcOverlayDelayEdit(t *testing.T) {
 	}
 }
 
+// TestEvaluatorUnstableLoop: the what-if check (a delay edit on a
+// frozen circuit's overlay, checked by CheckTcOverlay) turns a stable
+// self-loop unstable when the edit makes the loop need more than Tc per
+// cycle, names the loop, and leaves the base circuit's verdict alone.
+// The name is the one the what-if check carried when it was an
+// Evaluator method.
+func TestEvaluatorUnstableLoop(t *testing.T) {
+	c := NewCircuit(1)
+	a := c.AddLatch("A", 0, 1, 2)
+	c.AddPath(a, a, 5) // loop needs 7 per cycle
+	cc := c.MustFreeze()
+	sc := NewSchedule(1)
+	sc.Tc, sc.T[0] = 10, 10
+	base, err := CheckTcOverlay(cc.Overlay(), sc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !base.Feasible || base.PositiveLoop != nil {
+		t.Fatalf("stable loop rejected: %+v", base)
+	}
+	an, err := CheckTcOverlay(cc.Overlay().With(0, 50), sc, Options{}) // loop needs 52 per cycle
+	if err != nil {
+		t.Fatal(err)
+	}
+	if an.Feasible || len(an.PositiveLoop) != 1 || an.PositiveLoop[0] != a {
+		t.Fatalf("instability missed: %+v", an)
+	}
+	if len(an.Violations) == 0 || an.Violations[0].Kind != "unstable" {
+		t.Errorf("expected unstable violation, got %v", an.Violations)
+	}
+	if again, err := CheckTcOverlay(cc.Overlay(), sc, Options{}); err != nil || !again.Feasible {
+		t.Fatalf("base verdict changed after edits: %+v, %v", again, err)
+	}
+}
+
 // TestCheckTcRejectsInvalidCircuit: a circuit that fails validation
 // (here: no synchronizers) is refused when it is frozen for checking.
 func TestCheckTcRejectsInvalidCircuit(t *testing.T) {

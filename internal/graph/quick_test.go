@@ -52,6 +52,77 @@ func TestQuickSCCIsPartition(t *testing.T) {
 	}
 }
 
+// longestPathFixpoint checks SimpleCycles for completeness against a
+// longest-path relaxation from node 0: the relaxation settles within
+// N rounds exactly when no cycle reachable from node 0 gains weight,
+// so SimpleCycles must return a positive cycle through a reachable
+// node if and only if the relaxation fails to settle. When it
+// settles, no edge out of a reached node can still raise its head.
+func longestPathFixpoint(seed int64) bool {
+	g := randomGraph(seed, 10)
+	n := g.N()
+	dist := make([]float64, n)
+	for v := range dist {
+		dist[v] = math.Inf(-1)
+	}
+	dist[0] = 0
+	settled := false
+	for round := 0; round <= n && !settled; round++ {
+		settled = true
+		for u := 0; u < n; u++ {
+			if math.IsInf(dist[u], -1) {
+				continue
+			}
+			for _, e := range g.Out(u) {
+				if d := dist[u] + e.Weight; d > dist[e.To] {
+					dist[e.To] = d
+					settled = false
+				}
+			}
+		}
+	}
+	positive := false
+	for _, c := range g.SimpleCycles(0) {
+		if c.Weight > 0 && !math.IsInf(dist[c.Nodes[0]], -1) {
+			positive = true
+		}
+	}
+	if positive == settled {
+		return false
+	}
+	if !settled {
+		return true
+	}
+	for u := 0; u < n; u++ {
+		if math.IsInf(dist[u], -1) {
+			continue
+		}
+		for _, e := range g.Out(u) {
+			if dist[e.To] < dist[u]+e.Weight {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func TestQuickLongestPathFixpoint(t *testing.T) {
+	if err := quick.Check(longestPathFixpoint, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLongestPathFixpointSeeds pins seeds whose random multigraph
+// carries edges in both directions around a positive cycle, where a
+// cycle read in reverse order would weigh the wrong parallel edges.
+func TestLongestPathFixpointSeeds(t *testing.T) {
+	for _, seed := range []int64{-199114, -198270, -191451} {
+		if !longestPathFixpoint(seed) {
+			t.Errorf("seed %d: fixpoint property fails", seed)
+		}
+	}
+}
+
 // TestQuickSimpleCyclesAreCycles: every enumerated cycle is simple,
 // closed and correctly weighted.
 func TestQuickSimpleCyclesAreCycles(t *testing.T) {
