@@ -25,10 +25,8 @@ import (
 type Partition struct {
 	members   []int32 // synchronizers grouped by component, each group ascending
 	compStart []int32 // component ci's members are members[compStart[ci]:compStart[ci+1]]
-	comp      []int32 // synchronizer -> component
 	pathComp  []int32 // path -> component, or -1 for a cross-component arc
 	cyclic    []bool  // component contains at least one intra-component path
-	cross     []int32 // indices of cross-component paths, ascending
 }
 
 // newPartition runs Tarjan's algorithm (graph.SCCCSR) over the latch
@@ -57,11 +55,9 @@ func newPartition(c *Circuit) *Partition {
 	pt := &Partition{
 		members:   members,
 		compStart: compStart,
-		comp:      comp,
 		pathComp:  make([]int32, len(paths)),
 		cyclic:    make([]bool, len(compStart)-1),
 	}
-	ncross := 0
 	for pidx := range paths {
 		ci := comp[paths[pidx].From]
 		if ci == comp[paths[pidx].To] {
@@ -69,15 +65,6 @@ func newPartition(c *Circuit) *Partition {
 			pt.cyclic[ci] = true
 		} else {
 			pt.pathComp[pidx] = -1
-			ncross++
-		}
-	}
-	if ncross > 0 {
-		pt.cross = make([]int32, 0, ncross)
-		for pidx, ci := range pt.pathComp {
-			if ci < 0 {
-				pt.cross = append(pt.cross, int32(pidx))
-			}
 		}
 	}
 	return pt
@@ -94,22 +81,10 @@ func (pt *Partition) Members(ci int) []int32 {
 	return pt.members[lo:hi:hi]
 }
 
-// CompOf returns the component of synchronizer i.
-func (pt *Partition) CompOf(i int) int { return int(pt.comp[i]) }
-
 // PathComp returns the component containing path pidx, or -1 when the
 // path is a cross-component arc (its endpoints lie in different
 // components).
 func (pt *Partition) PathComp(pidx int) int { return int(pt.pathComp[pidx]) }
-
-// CrossPaths returns the indices of all cross-component paths,
-// ascending. Shared; read-only.
-func (pt *Partition) CrossPaths() []int32 { return pt.cross }
-
-// Cyclic reports whether component ci contains at least one
-// intra-component path (every multi-synchronizer component does; a
-// singleton is cyclic only via a self-loop path).
-func (pt *Partition) Cyclic(ci int) bool { return pt.cyclic[ci] }
 
 // Trivial reports whether component ci is a single synchronizer with
 // no self-loop path — the shape the decomposed solver answers with a

@@ -60,17 +60,6 @@ func NewState() *State {
 	}
 }
 
-// Entries reports the number of cached component answers (test and
-// observability hook).
-func (st *State) Entries() int {
-	if st == nil {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.comps)
-}
-
 func (st *State) lookup(dig uint64) (compAnswer, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

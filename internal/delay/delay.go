@@ -22,7 +22,6 @@ package delay
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Gate is one combinational cell instance.
@@ -215,13 +214,6 @@ func (n *Netlist) WorstDelay(m Model) (float64, error) {
 	return worst, nil
 }
 
-// Levels returns the logic depth (unit-delay worst path), a common
-// sanity metric.
-func (n *Netlist) Levels() (int, error) {
-	w, err := n.WorstDelay(Unit{})
-	return int(math.Round(w)), err
-}
-
 // Chain builds an inverter chain of the given length — the canonical
 // calibration structure (delay should be length × stage delay under
 // every model).
@@ -278,20 +270,4 @@ func Tree(name string, leaves int, intrinsic, drive, inCap float64) *Netlist {
 	}
 	n.Gates[len(n.Gates)-1].Output = "out"
 	return n
-}
-
-// SortedPairs returns the PathDelays keys in deterministic order (for
-// stable report output).
-func SortedPairs(d map[[2]string]float64) [][2]string {
-	keys := make([][2]string, 0, len(d))
-	for k := range d {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	return keys
 }

@@ -15,10 +15,6 @@ func TestChainUnitDelay(t *testing.T) {
 	if w != 5 {
 		t.Errorf("unit delay of 5-chain = %g, want 5", w)
 	}
-	lv, err := n.Levels()
-	if err != nil || lv != 5 {
-		t.Errorf("levels = %d, want 5", lv)
-	}
 }
 
 func TestChainLinearDelay(t *testing.T) {
@@ -65,12 +61,12 @@ func TestTreeDepth(t *testing.T) {
 		leaves, depth int
 	}{{2, 1}, {4, 2}, {8, 3}, {5, 3}, {1, 0}} {
 		n := Tree("t", tc.leaves, 1, 0, 0)
-		lv, err := n.Levels()
+		depth, err := n.WorstDelay(Unit{})
 		if err != nil {
 			t.Fatalf("leaves=%d: %v", tc.leaves, err)
 		}
-		if lv != tc.depth {
-			t.Errorf("leaves=%d: depth = %d, want %d", tc.leaves, lv, tc.depth)
+		if depth != float64(tc.depth) {
+			t.Errorf("leaves=%d: depth = %g, want %d", tc.leaves, depth, tc.depth)
 		}
 	}
 }
@@ -190,19 +186,6 @@ func TestFanoutAffectsLinearModel(t *testing.T) {
 func TestModelNames(t *testing.T) {
 	if (Unit{}).Name() != "unit" || (Linear{}).Name() != "linear" || (Elmore{}).Name() != "elmore" {
 		t.Error("model names wrong")
-	}
-}
-
-func TestSortedPairsDeterministic(t *testing.T) {
-	d := map[[2]string]float64{
-		{"b", "x"}: 1, {"a", "y"}: 2, {"a", "x"}: 3,
-	}
-	keys := SortedPairs(d)
-	want := [][2]string{{"a", "x"}, {"a", "y"}, {"b", "x"}}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("keys = %v, want %v", keys, want)
-		}
 	}
 }
 

@@ -21,7 +21,6 @@ package netex
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mintc/internal/core"
 	"mintc/internal/delay"
@@ -329,15 +328,4 @@ func clearMaps(a, b map[string]float64, d map[string]int) {
 	for k := range d {
 		delete(d, k)
 	}
-}
-
-// SortedElementNames returns element names in declaration order (a
-// deterministic helper for reports).
-func (n *Netlist) SortedElementNames() []string {
-	names := make([]string, len(n.Elements))
-	for i, e := range n.Elements {
-		names[i] = e.Name
-	}
-	sort.Strings(names)
-	return names
 }

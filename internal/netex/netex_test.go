@@ -296,14 +296,6 @@ func TestParseNetlistErrors(t *testing.T) {
 	}
 }
 
-func TestSortedElementNames(t *testing.T) {
-	n := twoLatchNetlist()
-	names := n.SortedElementNames()
-	if len(names) != 2 || names[0] != "L1" || names[1] != "L2" {
-		t.Errorf("names = %v", names)
-	}
-}
-
 func TestWriteNetlistRoundTrip(t *testing.T) {
 	n := twoLatchNetlist()
 	n.Name = "rt"

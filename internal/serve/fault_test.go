@@ -42,10 +42,7 @@ func TestFaultHandlerPanicIsolated(t *testing.T) {
 
 	// ...and the process shrugs: the panic is counted, the next request
 	// on the same server is served normally.
-	m := s.Metrics()
-	if m.PanicsIsolated != 1 {
-		t.Fatalf("panics_isolated = %d, want 1", m.PanicsIsolated)
-	}
+	assertOnePanic(t, s)
 	var res struct {
 		Tc float64 `json:"tc"`
 	}
@@ -54,9 +51,22 @@ func TestFaultHandlerPanicIsolated(t *testing.T) {
 	}
 }
 
+// assertOnePanic requires exactly one isolated panic in both the serve
+// counter and the obs counter engine panics also feed.
+func assertOnePanic(t *testing.T, s *serve.Server) {
+	t.Helper()
+	m := s.Metrics()
+	if m.PanicsIsolated != 1 {
+		t.Fatalf("panics_isolated = %d, want 1", m.PanicsIsolated)
+	}
+	if got := m.Obs.Counters["panics_recovered"]; got != 1 {
+		t.Fatalf("obs panics_recovered = %d, want 1", got)
+	}
+}
+
 func TestFaultHandlerPanicIsolatedBinary(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	_, addr := startSniffing(t, serve.Config{})
+	s, addr := startSniffing(t, serve.Config{})
 	bc := dialBin(t, addr)
 	resp := bc.call(t, "open", map[string]any{"tenant": "f", "circuit": circuitText(t, circuits.Example1(80))})
 	if resp.Error != "" {
@@ -76,6 +86,7 @@ func TestFaultHandlerPanicIsolatedBinary(t *testing.T) {
 	if f.Status != http.StatusInternalServerError {
 		t.Fatalf("crashed binary request: %+v, want status 500", f)
 	}
+	assertOnePanic(t, s)
 	// The connection itself survives the isolated panic.
 	f = bc.call(t, "mintc", map[string]any{"digest": opened.Digest})
 	if f.Error != "" {

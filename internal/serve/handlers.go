@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,43 +14,46 @@ import (
 	"mintc/internal/sim"
 )
 
-// This file holds the method implementations shared verbatim by the
-// HTTP/JSON and binary-framed protocols: a method name plus a JSON
-// body in, a JSON-encodable result (or a stream of them) out. The
-// transport-specific pipelines in serve.go and proto.go handle
-// admission, deadlines and panic isolation before anything here runs.
+// This file holds the method table and the method implementations the
+// HTTP/JSON and binary-framed protocols share: a method name plus a
+// JSON body in, a JSON-encodable result (or a stream of them) out.
+// The one request pipeline (serveRequest, serve.go) runs admission,
+// deadlines and panic isolation before anything here runs.
 
-// dispatchUnary routes one request/response method.
-func (s *Server) dispatchUnary(ctx context.Context, method string, body []byte) (any, error) {
-	switch method {
-	case "open":
-		return s.methodOpen(body)
-	case "sessions":
-		return s.methodSessions()
-	case "mintc":
-		return s.methodMinTc(ctx, body)
-	case "checktc":
-		return s.methodCheckTc(ctx, body)
-	case "reoptimize":
-		return s.methodReoptimize(ctx, body)
-	case "solve":
-		return s.methodSolve(ctx, body)
-	default:
-		return nil, badRequest("serve: unknown method %q", method)
-	}
+// handler runs one method. A unary method returns its result; a
+// streaming method delivers each NDJSON record / binary frame through
+// emit and returns a nil result.
+type handler func(s *Server, ctx context.Context, body []byte, emit func(any) error) (any, error)
+
+// method is one entry of the method table.
+type method struct {
+	name   string // the binary protocol's "method" field
+	route  string // the HTTP route pattern
+	stream bool
+	run    handler
 }
 
-// dispatchStream routes one streaming method; emit delivers each
-// NDJSON record / binary frame.
-func (s *Server) dispatchStream(ctx context.Context, method string, body []byte, emit func(any) error) error {
-	switch method {
-	case "sweep":
-		return s.methodSweep(ctx, body, emit)
-	case "montecarlo":
-		return s.methodMonteCarlo(ctx, body, emit)
-	default:
-		return badRequest("serve: unknown stream method %q", method)
+// methods declares every served method once; buildMux and the binary
+// protocol both read it.
+var methods = []method{
+	{"sessions", "GET /v1/sessions", false, (*Server).methodSessions},
+	{"open", "POST /v1/sessions", false, (*Server).methodOpen},
+	{"mintc", "POST /v1/mintc", false, onSession((*Server).methodMinTc)},
+	{"checktc", "POST /v1/checktc", false, onSession((*Server).methodCheckTc)},
+	{"reoptimize", "POST /v1/reoptimize", false, onSession((*Server).methodReoptimize)},
+	{"solve", "POST /v1/solve", false, onSession((*Server).methodSolve)},
+	{"sweep", "POST /v1/sweep", true, onSession((*Server).methodSweep)},
+	{"montecarlo", "POST /v1/montecarlo", true, onSession((*Server).methodMonteCarlo)},
+}
+
+// lookupMethod returns the table entry named name, or nil.
+func lookupMethod(name string) *method {
+	for i := range methods {
+		if methods[i].name == name {
+			return &methods[i]
+		}
 	}
+	return nil
 }
 
 // streamTick is the cancellation point between stream items: the
@@ -128,36 +132,66 @@ type requestBase struct {
 	Options optionsJSON `json:"options"`
 }
 
-// resolve looks the session up and applies the edits as a
-// copy-on-write overlay. The returned entry is referenced — the caller
-// must r.Put it (via the returned release func) when the request ends,
-// which is what lets the registry evict without yanking live state.
-func (s *Server) resolve(base requestBase) (e *sessionEntry, ov core.DelayOverlay, release func(), err error) {
-	if base.Digest == "" {
-		return nil, core.DelayOverlay{}, nil, badRequest("serve: missing session digest")
-	}
-	e, err = s.reg.Get(base.Digest)
-	if err != nil {
-		return nil, core.DelayOverlay{}, nil, err
-	}
-	ov = e.sess.Overlay()
-	for _, ed := range base.Edits {
-		if ed.Path < 0 || ed.Path >= e.paths {
-			s.reg.Put(e)
-			return nil, core.DelayOverlay{}, nil, badRequest("serve: edit path %d out of range [0,%d)", ed.Path, e.paths)
+func (b requestBase) base() requestBase { return b }
+
+// validate is the body check a query runs before its session is looked
+// up; requestBase has none, request types that do override it.
+func (requestBase) validate() error { return nil }
+
+// sessionRequest is a query body: a requestBase plus method fields.
+type sessionRequest interface {
+	base() requestBase
+	validate() error
+}
+
+// query is a request resolved against its session: the entry, the
+// session's overlay with the request's edits, and the options.
+type query struct {
+	e    *sessionEntry
+	ov   core.DelayOverlay
+	opts core.Options
+}
+
+// onSession wraps a session query in the preamble every one repeats:
+// decode the body into R, validate it, look the session up and
+// reference it, and apply the edits as a copy-on-write overlay. The
+// reference goes back to the registry when the method returns, which
+// is what lets the registry evict without yanking live state.
+func onSession[R sessionRequest](fn func(*Server, context.Context, R, query, func(any) error) (any, error)) handler {
+	return func(s *Server, ctx context.Context, body []byte, emit func(any) error) (any, error) {
+		var req R
+		if err := decodeBody(body, &req); err != nil {
+			return nil, err
 		}
-		if ed.Delay < 0 || math.IsNaN(ed.Delay) || math.IsInf(ed.Delay, 0) {
-			s.reg.Put(e)
-			return nil, core.DelayOverlay{}, nil, badRequest("serve: edit delay %g must be finite and nonnegative", ed.Delay)
+		if err := req.validate(); err != nil {
+			return nil, err
 		}
-		ov = ov.With(ed.Path, ed.Delay)
+		base := req.base()
+		if base.Digest == "" {
+			return nil, badRequest("serve: missing session digest")
+		}
+		e, err := s.reg.Get(base.Digest)
+		if err != nil {
+			return nil, err
+		}
+		defer s.reg.Put(e)
+		ov := e.sess.Overlay()
+		for _, ed := range base.Edits {
+			if ed.Path < 0 || ed.Path >= e.paths {
+				return nil, badRequest("serve: edit path %d out of range [0,%d)", ed.Path, e.paths)
+			}
+			if ed.Delay < 0 || math.IsNaN(ed.Delay) || math.IsInf(ed.Delay, 0) {
+				return nil, badRequest("serve: edit delay %g must be finite and nonnegative", ed.Delay)
+			}
+			ov = ov.With(ed.Path, ed.Delay)
+		}
+		e.queries.Add(1)
+		return fn(s, ctx, req, query{e, ov, base.Options.core()}, emit)
 	}
-	e.queries.Add(1)
-	return e, ov, func() { s.reg.Put(e) }, nil
 }
 
 func decodeBody(body []byte, v any) error {
-	dec := json.NewDecoder(strings.NewReader(string(body)))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequest("serve: decode request: %v", err)
@@ -179,7 +213,7 @@ type openResponse struct {
 	Paths   int    `json:"paths"`
 }
 
-func (s *Server) methodOpen(body []byte) (any, error) {
+func (s *Server) methodOpen(_ context.Context, body []byte, _ func(any) error) (any, error) {
 	var req openRequest
 	if err := decodeBody(body, &req); err != nil {
 		return nil, err
@@ -201,7 +235,7 @@ func (s *Server) methodOpen(body []byte) (any, error) {
 	return openResponse{Digest: e.digest, Latches: e.latches, Phases: e.phases, Paths: e.paths}, nil
 }
 
-func (s *Server) methodSessions() (any, error) {
+func (s *Server) methodSessions(context.Context, []byte, func(any) error) (any, error) {
 	infos := s.reg.List()
 	return map[string]any{"sessions": infos, "count": len(infos)}, nil
 }
@@ -215,17 +249,8 @@ type minTcResponse struct {
 	Pivots           int           `json:"pivots"`
 }
 
-func (s *Server) methodMinTc(ctx context.Context, body []byte) (any, error) {
-	var req requestBase
-	if err := decodeBody(body, &req); err != nil {
-		return nil, err
-	}
-	e, ov, release, err := s.resolve(req)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	res, err := e.sess.MinTc(ctx, ov, req.Options.core())
+func (s *Server) methodMinTc(ctx context.Context, _ requestBase, q query, _ func(any) error) (any, error) {
+	res, err := q.e.sess.MinTc(ctx, q.ov, q.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -258,21 +283,12 @@ type checkTcResponse struct {
 	PositiveLoop    []int           `json:"positive_loop,omitempty"`
 }
 
-func (s *Server) methodCheckTc(ctx context.Context, body []byte) (any, error) {
-	var req checkTcRequest
-	if err := decodeBody(body, &req); err != nil {
-		return nil, err
-	}
-	e, ov, release, err := s.resolve(req.requestBase)
+func (s *Server) methodCheckTc(ctx context.Context, req checkTcRequest, q query, _ func(any) error) (any, error) {
+	sched, err := req.Schedule.core(q.e.phases)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	sched, err := req.Schedule.core(e.phases)
-	if err != nil {
-		return nil, err
-	}
-	an, err := e.sess.CheckTc(ctx, ov, sched, req.Options.core())
+	an, err := q.e.sess.CheckTc(ctx, q.ov, sched, q.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -333,23 +349,14 @@ type reoptimizeResponse struct {
 	Resolved bool `json:"resolved"`
 }
 
-func (s *Server) methodReoptimize(ctx context.Context, body []byte) (any, error) {
-	var req reoptimizeRequest
-	if err := decodeBody(body, &req); err != nil {
-		return nil, err
-	}
-	e, ov, release, err := s.resolve(req.requestBase)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if req.Path < 0 || req.Path >= e.paths {
-		return nil, badRequest("serve: path %d out of range [0,%d)", req.Path, e.paths)
+func (s *Server) methodReoptimize(ctx context.Context, req reoptimizeRequest, q query, _ func(any) error) (any, error) {
+	if req.Path < 0 || req.Path >= q.e.paths {
+		return nil, badRequest("serve: path %d out of range [0,%d)", req.Path, q.e.paths)
 	}
 	if req.Delay < 0 || math.IsNaN(req.Delay) || math.IsInf(req.Delay, 0) {
 		return nil, badRequest("serve: delay %g must be finite and nonnegative", req.Delay)
 	}
-	tc, resolved, err := e.sess.Reoptimize(ctx, ov, req.Path, req.Delay, req.Options.core())
+	tc, resolved, err := q.e.sess.Reoptimize(ctx, q.ov, req.Path, req.Delay, q.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -387,29 +394,28 @@ type solveResponse struct {
 	Trail   []attemptJSON `json:"trail,omitempty"`
 }
 
-func (s *Server) methodSolve(ctx context.Context, body []byte) (any, error) {
-	var req solveRequest
-	if err := decodeBody(body, &req); err != nil {
-		return nil, err
+// engineName is the requested engine, "mlp" when none is named.
+func (r solveRequest) engineName() string {
+	if r.Engine == "" {
+		return "mlp"
 	}
-	name := req.Engine
-	if name == "" {
-		name = "mlp"
-	}
-	if _, ok := engine.Get(name); !ok {
-		return nil, badRequest("serve: unknown engine %q (have %v)", name, engine.Names())
-	}
-	if req.Trials < 0 || req.SimCycles < 0 {
-		return nil, badRequest("serve: trials and sim_cycles must be nonnegative")
-	}
-	e, ov, release, err := s.resolve(req.requestBase)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
+	return r.Engine
+}
 
+func (r solveRequest) validate() error {
+	if _, ok := engine.Get(r.engineName()); !ok {
+		return badRequest("serve: unknown engine %q (have %v)", r.engineName(), engine.Names())
+	}
+	if r.Trials < 0 || r.SimCycles < 0 {
+		return badRequest("serve: trials and sim_cycles must be nonnegative")
+	}
+	return nil
+}
+
+func (s *Server) methodSolve(ctx context.Context, req solveRequest, q query, _ func(any) error) (any, error) {
+	name := req.engineName()
 	eopts := engine.Options{
-		Core:      req.Options.core(),
+		Core:      q.opts,
 		Trials:    req.Trials,
 		SimCycles: req.SimCycles,
 		Seed:      req.Seed,
@@ -425,7 +431,7 @@ func (s *Server) methodSolve(ctx context.Context, body []byte) (any, error) {
 		if demoted {
 			callName = "mcr"
 		}
-		res, err := e.sess.Solve(ctx, callName, ov, eopts)
+		res, err := q.e.sess.Solve(ctx, callName, q.ov, eopts)
 		if err != nil {
 			return nil, err
 		}
@@ -436,7 +442,7 @@ func (s *Server) methodSolve(ctx context.Context, body []byte) (any, error) {
 	if demoted {
 		pol.Rungs = []string{"mcr", "mlp", "dense"}
 	}
-	res, err := e.sess.SolveCertified(ctx, name, ov, eopts, pol)
+	res, err := q.e.sess.SolveCertified(ctx, name, q.ov, eopts, pol)
 	if name == "decomp" && !demoted && ctx.Err() == nil && res != nil && len(res.Trail) > 0 {
 		// Feed the breaker the primary rung's outcome. A certified
 		// answer on rung 0 (feasible or proven-infeasible) is health;
@@ -470,26 +476,17 @@ type sweepRequest struct {
 	Steps  int       `json:"steps,omitempty"`
 }
 
-func (s *Server) methodSweep(ctx context.Context, body []byte, emit func(any) error) error {
-	var req sweepRequest
-	if err := decodeBody(body, &req); err != nil {
-		return err
-	}
-	e, ov, release, err := s.resolve(req.requestBase)
-	if err != nil {
-		return err
-	}
-	defer release()
-	if req.Path < 0 || req.Path >= e.paths {
-		return badRequest("serve: sweep path %d out of range [0,%d)", req.Path, e.paths)
+func (s *Server) methodSweep(ctx context.Context, req sweepRequest, q query, emit func(any) error) (any, error) {
+	if req.Path < 0 || req.Path >= q.e.paths {
+		return nil, badRequest("serve: sweep path %d out of range [0,%d)", req.Path, q.e.paths)
 	}
 	values := req.Values
 	if len(values) == 0 {
 		if req.Steps < 2 || req.To < req.From {
-			return badRequest("serve: sweep needs values, or from <= to with steps >= 2")
+			return nil, badRequest("serve: sweep needs values, or from <= to with steps >= 2")
 		}
 		if req.Steps > 100000 {
-			return badRequest("serve: sweep steps %d exceeds 100000", req.Steps)
+			return nil, badRequest("serve: sweep steps %d exceeds 100000", req.Steps)
 		}
 		step := (req.To - req.From) / float64(req.Steps-1)
 		values = make([]float64, req.Steps)
@@ -497,35 +494,34 @@ func (s *Server) methodSweep(ctx context.Context, body []byte, emit func(any) er
 			values[i] = req.From + float64(i)*step
 		}
 	}
-	opts := req.Options.core()
 	for _, v := range values {
 		if err := s.streamTick(ctx); err != nil {
-			return err
+			return nil, err
 		}
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			if err := emit(map[string]any{"value": v, "error": "invalid delay (must be finite and nonnegative)"}); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		}
 		// Each point is one memoized session query: revisited values hit
 		// the LRU, every point is independently cancellable, and
 		// mid-stream aborts lose nothing already emitted.
-		res, err := e.sess.MinTc(ctx, ov.With(req.Path, v), opts)
+		res, err := q.e.sess.MinTc(ctx, q.ov.With(req.Path, v), q.opts)
 		if err != nil {
 			if ctx.Err() != nil {
-				return err
+				return nil, err
 			}
 			if err := emit(map[string]any{"value": v, "error": err.Error()}); err != nil {
-				return err
+				return nil, err
 			}
 			continue
 		}
 		if err := emit(map[string]any{"value": v, "tc": res.Schedule.Tc}); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return emit(map[string]any{"done": true, "points": len(values)})
+	return nil, emit(map[string]any{"done": true, "points": len(values)})
 }
 
 // ---- montecarlo (streaming) ------------------------------------------
@@ -539,43 +535,33 @@ type monteCarloRequest struct {
 	Seed        int64         `json:"seed,omitempty"`
 }
 
-func (s *Server) methodMonteCarlo(ctx context.Context, body []byte, emit func(any) error) error {
-	var req monteCarloRequest
-	if err := decodeBody(body, &req); err != nil {
-		return err
-	}
-	e, ov, release, err := s.resolve(req.requestBase)
-	if err != nil {
-		return err
-	}
-	defer release()
+func (s *Server) methodMonteCarlo(ctx context.Context, req monteCarloRequest, q query, emit func(any) error) (any, error) {
 	trials := req.Trials
 	if trials <= 0 {
 		trials = 200
 	}
 	if trials > 1000000 {
-		return badRequest("serve: trials %d exceeds 1000000", trials)
+		return nil, badRequest("serve: trials %d exceeds 1000000", trials)
 	}
 	chunk := req.ChunkTrials
 	if chunk <= 0 {
 		chunk = 50
 	}
-	opts := req.Options.core()
 
 	var sched *core.Schedule
 	if req.Schedule != nil {
-		sched, err = req.Schedule.core(e.phases)
-		if err != nil {
-			return err
+		var err error
+		if sched, err = req.Schedule.core(q.e.phases); err != nil {
+			return nil, err
 		}
 	} else {
-		res, err := e.sess.MinTc(ctx, ov, opts)
+		res, err := q.e.sess.MinTc(ctx, q.ov, q.opts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sched = res.Schedule
 		if err := emit(map[string]any{"schedule": scheduleToJSON(sched)}); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -589,7 +575,7 @@ func (s *Server) methodMonteCarlo(ctx context.Context, body []byte, emit func(an
 	chunkIdx := 0
 	for agg.Trials < trials {
 		if err := s.streamTick(ctx); err != nil {
-			return err
+			return nil, err
 		}
 		n := mcBatchTrials
 		if rem := trials - agg.Trials; n > rem {
@@ -597,12 +583,12 @@ func (s *Server) methodMonteCarlo(ctx context.Context, body []byte, emit func(an
 		}
 		rng := rand.New(rand.NewSource(req.Seed + int64(agg.Trials)))
 		cfg := sim.MCConfig{Cycles: req.Cycles, Trials: n}
-		res, err := sim.RunMonteCarlo(ctx, ov, sched, cfg, rng)
+		res, err := sim.RunMonteCarlo(ctx, q.ov, sched, cfg, rng)
 		if err != nil {
 			if ctx.Err() != nil {
-				return err
+				return nil, err
 			}
-			return fmt.Errorf("serve: monte-carlo trials %d-%d: %w", agg.Trials, agg.Trials+n, err)
+			return nil, fmt.Errorf("serve: monte-carlo trials %d-%d: %w", agg.Trials, agg.Trials+n, err)
 		}
 		agg.Trials += res.Trials
 		agg.FailingTrials += res.FailingTrials
@@ -624,13 +610,13 @@ func (s *Server) methodMonteCarlo(ctx context.Context, body []byte, emit func(an
 				"violations":     cur.TotalViolations,
 				"worst_slack":    jsonFinite(cur.WorstSlack),
 			}); err != nil {
-				return err
+				return nil, err
 			}
 			chunkIdx++
 			cur = sim.MCResult{WorstSlack: math.Inf(1)}
 		}
 	}
-	return emit(map[string]any{
+	return nil, emit(map[string]any{
 		"done":           true,
 		"trials":         agg.Trials,
 		"failing_trials": agg.FailingTrials,

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"time"
 
 	"mintc/internal/faultinject"
@@ -147,20 +146,18 @@ func (s *Server) serveBinary(c net.Conn) {
 	defer c.Close()
 	w := bufio.NewWriter(c)
 	for {
-		// Between requests the connection is idle; drain closes it.
-		select {
-		case <-s.drainCh:
-			_ = s.writeFrame(c, w, binResponse{Error: ErrDraining.Error(), Status: http.StatusServiceUnavailable, Draining: true})
-			lingerClose(c)
-			return
-		default:
-		}
 		req, err := readFrame(c)
 		if err != nil {
 			return // EOF, timeout, oversized or malformed frame: drop the conn
 		}
 		s.counters.binFrames.Add(1)
-		if !s.serveBinRequest(c, w, req) {
+		out := &binResponder{s: s, c: c, w: w, req: req}
+		s.serveRequest(context.Background(), req.Method, req.DeadlineMs, out)
+		if out.draining {
+			lingerClose(c)
+			return
+		}
+		if out.broken {
 			return
 		}
 	}
@@ -188,96 +185,59 @@ func lingerClose(c net.Conn) {
 	_, _ = io.Copy(io.Discard, c)
 }
 
-// serveBinRequest runs one frame through the same robustness pipeline
-// as an HTTP request; false means the connection is unusable.
-func (s *Server) serveBinRequest(c net.Conn, w *bufio.Writer, req binRequest) (alive bool) {
-	s.counters.requests.Add(1)
-	if !s.beginRequest() {
-		s.counters.drainRejects.Add(1)
-		_ = s.writeFrame(c, w, binResponse{ID: req.ID, Error: ErrDraining.Error(), Status: http.StatusServiceUnavailable, Draining: true})
-		lingerClose(c)
-		return false
-	}
-	defer s.endRequest()
-	if ok, retry := s.adm.Admit(); !ok {
-		err := s.writeFrame(c, w, binResponse{
-			ID:           req.ID,
-			Error:        "serve: overloaded",
-			Status:       http.StatusTooManyRequests,
-			RetryAfterMs: retry.Milliseconds() + 1,
-		})
-		s.counters.errors4xx.Add(1)
-		return err == nil
-	}
-	defer s.adm.Release()
-	ctx, cancel := s.requestCtx(context.Background(), req.DeadlineMs)
-	defer cancel()
-
-	defer func() {
-		if p := recover(); p != nil {
-			s.counters.panicsIsolated.Add(1)
-			s.counters.errors5xx.Add(1)
-			s.cfg.Logger.Printf("serve: panic in binary %q isolated: %v", req.Method, p)
-			err := s.writeFrame(c, w, binResponse{ID: req.ID, Error: fmt.Sprintf("serve: internal error in %q", req.Method), Status: http.StatusInternalServerError})
-			alive = alive && err == nil
-		}
-	}()
-	alive = true
-
-	if err := faultinject.Fire("serve.handler"); err != nil {
-		s.counters.errors5xx.Add(1)
-		return s.writeFrame(c, w, binResponse{ID: req.ID, Error: err.Error(), Status: http.StatusInternalServerError}) == nil
-	}
-
-	if _, isStream := map[string]bool{"sweep": true, "montecarlo": true}[req.Method]; isStream {
-		s.counters.streamsStarted.Add(1)
-		emit := func(v any) error {
-			if err := faultinject.Fire("serve.stream.chunk"); err != nil {
-				return err
-			}
-			b, err := json.Marshal(v)
-			if err != nil {
-				return err
-			}
-			return s.writeFrame(c, w, binResponse{ID: req.ID, Body: b})
-		}
-		err := s.dispatchStream(ctx, req.Method, req.Body, emit)
-		switch {
-		case err == nil:
-			return s.writeFrame(c, w, binResponse{ID: req.ID, Done: true}) == nil
-		case errors.Is(err, ErrDraining):
-			s.counters.streamsDrained.Add(1)
-			_ = s.writeFrame(c, w, binResponse{ID: req.ID, Error: ErrDraining.Error(), Status: http.StatusServiceUnavailable, Draining: true})
-			return false
-		default:
-			s.counters.streamsAborted.Add(1)
-			status := httpStatus(err)
-			s.countStatus(status)
-			return s.writeFrame(c, w, binResponse{ID: req.ID, Error: err.Error(), Status: status}) == nil
-		}
-	}
-
-	res, err := s.dispatchUnary(ctx, req.Method, req.Body)
-	if err != nil {
-		status := httpStatus(err)
-		s.countStatus(status)
-		return s.writeFrame(c, w, binResponse{ID: req.ID, Error: err.Error(), Status: status, Draining: errors.Is(err, ErrDraining)}) == nil
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		s.counters.errors5xx.Add(1)
-		return s.writeFrame(c, w, binResponse{ID: req.ID, Error: "serve: encode response", Status: http.StatusInternalServerError}) == nil
-	}
-	return s.writeFrame(c, w, binResponse{ID: req.ID, Body: b}) == nil
+// binResponder answers one binary-protocol request with frames tagged
+// by the request's id. A draining error ends the connection once the
+// request is done: serveBinary closes it with lingerClose, outside the
+// drain's in-flight count.
+type binResponder struct {
+	s        *Server
+	c        net.Conn
+	w        *bufio.Writer
+	req      binRequest
+	broken   bool
+	draining bool
 }
 
-func (s *Server) countStatus(status int) {
-	switch {
-	case status >= 500:
-		s.counters.errors5xx.Add(1)
-	case status >= 400:
-		s.counters.errors4xx.Add(1)
+// write writes one response frame under the slow-client write
+// deadline. A failed write marks the connection broken, which is all
+// the callers that ignore its error need: serveBinary then drops it.
+func (b *binResponder) write(resp binResponse) error {
+	err := faultinject.Fire("serve.write")
+	if err == nil {
+		resp.ID = b.req.ID
+		_ = b.c.SetWriteDeadline(time.Now().Add(b.s.cfg.WriteTimeout))
+		if err = EncodeFrame(b.w, resp); err == nil {
+			err = b.w.Flush()
+		}
+		_ = b.c.SetWriteDeadline(time.Time{})
 	}
+	b.broken = b.broken || err != nil
+	return err
+}
+
+func (b *binResponder) body() ([]byte, error) { return b.req.Body, nil }
+
+func (b *binResponder) result(body []byte) { _ = b.write(binResponse{Body: body}) }
+
+func (b *binResponder) open() {}
+
+func (b *binResponder) record(body []byte) error {
+	if err := faultinject.Fire("serve.stream.chunk"); err != nil {
+		return err
+	}
+	return b.write(binResponse{Body: body})
+}
+
+func (b *binResponder) close() { _ = b.write(binResponse{Done: true}) }
+
+func (b *binResponder) fail(status int, err error) {
+	resp := binResponse{Error: err.Error(), Status: status, Draining: errors.Is(err, ErrDraining)}
+	var se *statusError
+	if errors.As(err, &se) && se.retry > 0 {
+		resp.RetryAfterMs = se.retry.Milliseconds() + 1
+	}
+	b.draining = resp.Draining
+	_ = b.write(resp)
 }
 
 // readFrame reads one request frame under the idle deadline.
@@ -289,32 +249,6 @@ func readFrame(c net.Conn) (binRequest, error) {
 	return req, err
 }
 
-// writeFrame writes one length-prefixed response frame under the
-// slow-client write deadline.
-func (s *Server) writeFrame(c net.Conn, w *bufio.Writer, resp binResponse) error {
-	if err := faultinject.Fire("serve.write"); err != nil {
-		return err
-	}
-	b, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
-	if len(b) > maxFrameBytes {
-		return fmt.Errorf("serve: response frame %d bytes exceeds cap", len(b))
-	}
-	_ = c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	defer c.SetWriteDeadline(time.Time{})
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
 // WriteBinaryMagic writes the protocol preamble a binary client must
 // send first; exported for cmd/smoload and tests.
 func WriteBinaryMagic(w io.Writer) error {
@@ -322,12 +256,16 @@ func WriteBinaryMagic(w io.Writer) error {
 	return err
 }
 
-// EncodeFrame length-prefixes one payload — the client-side frame
-// encoder (cmd/smoload, tests).
+// EncodeFrame length-prefixes one payload — the one frame encoder,
+// used by the server for responses and by clients (cmd/smoload, tests)
+// for requests. A payload above the frame cap is refused unwritten.
 func EncodeFrame(w io.Writer, payload any) error {
 	b, err := json.Marshal(payload)
 	if err != nil {
 		return err
+	}
+	if len(b) > maxFrameBytes {
+		return fmt.Errorf("serve: frame %d bytes exceeds cap", len(b))
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))

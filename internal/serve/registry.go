@@ -57,7 +57,6 @@ type registry struct {
 type sessionEntry struct {
 	digest  string
 	sess    *session.Session
-	smo     string // canonical rendering, for GET /v1/sessions debugging
 	latches int
 	phases  int
 	paths   int
@@ -119,7 +118,7 @@ func (r *registry) Open(tenant, smoText string) (*sessionEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: parse circuit: %w", err)
 	}
-	digest, canonical, err := CircuitDigest(c)
+	digest, _, err := CircuitDigest(c)
 	if err != nil {
 		return nil, fmt.Errorf("serve: canonicalize circuit: %w", err)
 	}
@@ -159,7 +158,6 @@ func (r *registry) Open(tenant, smoText string) (*sessionEntry, error) {
 	e := &sessionEntry{
 		digest:   digest,
 		sess:     sess,
-		smo:      canonical,
 		latches:  c.L(),
 		phases:   c.K(),
 		paths:    len(c.Paths()),

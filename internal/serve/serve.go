@@ -28,7 +28,9 @@
 // Two wire protocols share one listener through protocol sniffing: a
 // connection opening with the 4-byte magic "SMO1" speaks the
 // length-prefixed binary framing (see proto.go); anything else is
-// HTTP/JSON.
+// HTTP/JSON. Both run every request through one pipeline
+// (serveRequest) over one method table (handlers.go); they differ only
+// in the responder that writes the answer.
 package serve
 
 import (
@@ -228,9 +230,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Rec returns the server's process-lifetime obs recorder.
-func (s *Server) Rec() *obs.Rec { return s.rec }
-
 // Draining reports whether drain has begun.
 func (s *Server) Draining() bool { return s.state.Load() != stateServing }
 
@@ -246,15 +245,9 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/sessions", s.unary("sessions"))
-
-	mux.HandleFunc("POST /v1/sessions", s.unary("open"))
-	mux.HandleFunc("POST /v1/mintc", s.unary("mintc"))
-	mux.HandleFunc("POST /v1/checktc", s.unary("checktc"))
-	mux.HandleFunc("POST /v1/reoptimize", s.unary("reoptimize"))
-	mux.HandleFunc("POST /v1/solve", s.unary("solve"))
-	mux.HandleFunc("POST /v1/sweep", s.stream("sweep"))
-	mux.HandleFunc("POST /v1/montecarlo", s.stream("montecarlo"))
+	for _, m := range methods {
+		mux.HandleFunc(m.route, s.serveHTTP(m.name))
+	}
 	return mux
 }
 
@@ -327,184 +320,230 @@ func headerDeadline(r *http.Request) int64 {
 // exhaust memory).
 const maxBodyBytes = 64 << 20
 
-// readBody reads the bounded request body. On failure it writes the
-// error response — 413 for an over-limit upload (the MaxBytesReader
-// case), 400 for a malformed or truncated one — and returns ok=false.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// responder is one transport's side of the request pipeline: where the
+// request body comes from and how each outcome reaches the client.
+// httpResponder (this file) writes JSON and NDJSON, binResponder
+// (proto.go) length-prefixed frames.
+type responder interface {
+	body() ([]byte, error)
+	// result writes a unary method's encoded result.
+	result(b []byte)
+	// open starts a stream, record writes one encoded record, and
+	// close ends a stream that completed.
+	open()
+	record(b []byte) error
+	close()
+	// fail writes an error with its status: the whole response before
+	// a stream opens, a final in-band record or frame after.
+	fail(status int, err error)
+}
+
+// serveRequest is the one request pipeline both protocols run: the
+// drain gate, admission, the deadline context, panic isolation, the
+// serve.handler fault site, dispatch through the method table, and
+// the mapping of each outcome to its status and counters.
+func (s *Server) serveRequest(parent context.Context, name string, deadlineMs int64, out responder) {
+	s.counters.requests.Add(1)
+	if !s.beginRequest() {
+		s.counters.drainRejects.Add(1)
+		s.fail(out, ErrDraining)
+		return
+	}
+	defer s.endRequest()
+	if ok, retry := s.adm.Admit(); !ok {
+		s.fail(out, &statusError{http.StatusTooManyRequests, retry,
+			fmt.Errorf("serve: overloaded, retry after %v", retry.Round(time.Millisecond))})
+		return
+	}
+	defer s.adm.Release()
+	ctx, cancel := s.requestCtx(parent, deadlineMs)
+	defer cancel()
+
+	// The per-request panic boundary, the serve-layer twin of the
+	// engine supervisor's runGuarded: the panic value and stack are
+	// logged and counted, the client gets one 500, and the daemon
+	// lives. http.ErrAbortHandler is a deliberate abort (a forfeited
+	// response write) and goes on to net/http.
+	defer func() {
+		if p := recover(); p != nil {
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
+			s.counters.panicsIsolated.Add(1)
+			s.rec.Add(obs.PanicsRecovered, 1)
+			s.cfg.Logger.Printf("serve: panic in %q isolated: %v\n%s", name, p, debug.Stack())
+			s.fail(out, internalError(fmt.Errorf("serve: internal error in %q", name)))
+		}
+	}()
+	if err := faultinject.Fire("serve.handler"); err != nil {
+		s.fail(out, internalError(err))
+		return
+	}
+	body, err := out.body()
 	if err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, status, fmt.Errorf("serve: read body: %w", err))
-		return nil, false
+		s.fail(out, err)
+		return
 	}
-	return body, true
-}
-
-// unary wraps one request/response method in the full robustness
-// pipeline: drain gate, admission, deadline, panic isolation.
-func (s *Server) unary(method string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.counters.requests.Add(1)
-		if !s.beginRequest() {
-			s.counters.drainRejects.Add(1)
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusServiceUnavailable, ErrDraining)
-			return
-		}
-		defer s.endRequest()
-		if ok, retry := s.adm.Admit(); !ok {
-			s.shedResponse(w, retry)
-			return
-		}
-		defer s.adm.Release()
-		ctx, cancel := s.requestCtx(r.Context(), headerDeadline(r))
-		defer cancel()
-
-		defer s.isolatePanic(w, method)
-		if err := faultinject.Fire("serve.handler"); err != nil {
-			s.writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		body, ok := s.readBody(w, r)
-		if !ok {
-			return
-		}
-		res, err := s.dispatchUnary(ctx, method, body)
+	m := lookupMethod(name)
+	if m == nil {
+		s.fail(out, badRequest("serve: unknown method %q", name))
+		return
+	}
+	if !m.stream {
+		res, err := m.run(s, ctx, body, nil)
 		if err != nil {
-			s.writeError(w, httpStatus(err), err)
+			s.fail(out, err)
 			return
 		}
-		s.writeJSON(w, http.StatusOK, res)
+		b, err := json.Marshal(res)
+		if err != nil {
+			s.fail(out, internalError(errors.New("serve: encode response")))
+			return
+		}
+		out.result(b)
+		return
+	}
+
+	s.counters.streamsStarted.Add(1)
+	out.open()
+	_, err = m.run(s, ctx, body, func(v any) error {
+		b, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		return out.record(b)
+	})
+	switch {
+	case err == nil:
+		out.close()
+	case errors.Is(err, ErrDraining):
+		// The typed drain error, in-band: the client learns the stream
+		// was cut by shutdown, not by a fault.
+		s.counters.streamsDrained.Add(1)
+		out.fail(http.StatusServiceUnavailable, ErrDraining)
+	default:
+		// A deadline, a disconnect or a method error: the stream ends
+		// with an error record carrying its status.
+		s.counters.streamsAborted.Add(1)
+		s.fail(out, err)
 	}
 }
 
-// stream wraps one streaming method: same pipeline, NDJSON body, and
-// per-chunk write deadlines so a stalled client cannot pin a worker.
-// Stream failures after the first chunk are reported in-band as a
-// final {"error": ...} record (headers are long gone by then).
-func (s *Server) stream(method string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.counters.requests.Add(1)
-		if !s.beginRequest() {
-			s.counters.drainRejects.Add(1)
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusServiceUnavailable, ErrDraining)
-			return
-		}
-		defer s.endRequest()
-		if ok, retry := s.adm.Admit(); !ok {
-			s.shedResponse(w, retry)
-			return
-		}
-		defer s.adm.Release()
-		ctx, cancel := s.requestCtx(r.Context(), headerDeadline(r))
-		defer cancel()
-
-		defer s.isolatePanic(w, method)
-		if err := faultinject.Fire("serve.handler"); err != nil {
-			s.writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		body, ok := s.readBody(w, r)
-		if !ok {
-			return
-		}
-
-		s.counters.streamsStarted.Add(1)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		rc := http.NewResponseController(w)
-		emit := func(v any) error {
-			if err := faultinject.Fire("serve.stream.chunk"); err != nil {
-				return err
-			}
-			if err := faultinject.Fire("serve.write"); err != nil {
-				return err
-			}
-			// Slow-client guard: every chunk gets a fresh write budget;
-			// a client that stops reading fails the write instead of
-			// pinning this goroutine until the heat death of the drain.
-			_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			b, err := json.Marshal(v)
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(append(b, '\n')); err != nil {
-				return err
-			}
-			return rc.Flush()
-		}
-
-		err := s.dispatchStream(ctx, method, body, emit)
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrDraining):
-			// The typed drain error, in-band: the client learns the
-			// stream was cut by shutdown, not by a fault.
-			s.counters.streamsDrained.Add(1)
-			_ = emit(map[string]any{"error": ErrDraining.Error(), "draining": true})
-		case ctx.Err() != nil:
-			// Client gone or deadline hit: nobody is listening; count it.
-			s.counters.streamsAborted.Add(1)
-		default:
-			s.counters.streamsAborted.Add(1)
-			_ = emit(map[string]any{"error": err.Error()})
-		}
-	}
-}
-
-// isolatePanic is the per-request panic boundary, the serve-layer twin
-// of the engine supervisor's runGuarded: the panic value and stack are
-// logged and counted, the client gets one 500, and the daemon lives.
-func (s *Server) isolatePanic(w http.ResponseWriter, method string) {
-	if p := recover(); p != nil {
-		s.counters.panicsIsolated.Add(1)
-		s.rec.Add(obs.PanicsRecovered, 1)
-		s.cfg.Logger.Printf("serve: panic in %q isolated: %v\n%s", method, p, debug.Stack())
-		// Best effort — if the stream already wrote, this is a no-op.
-		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("serve: internal error in %q", method))
-	}
-}
-
-func (s *Server) shedResponse(w http.ResponseWriter, retry time.Duration) {
-	secs := int64(retry/time.Second) + 1
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	s.writeError(w, http.StatusTooManyRequests, fmt.Errorf("serve: overloaded, retry after %v", retry.Round(time.Millisecond)))
-}
-
-// errorBody is the JSON error envelope of both protocols.
-type errorBody struct {
-	Error    string `json:"error"`
-	Draining bool   `json:"draining,omitempty"`
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
+// fail maps err to its status, counts it and writes it.
+func (s *Server) fail(out responder, err error) {
+	status := httpStatus(err)
 	switch {
 	case status >= 500:
 		s.counters.errors5xx.Add(1)
 	case status >= 400:
 		s.counters.errors4xx.Add(1)
 	}
-	body := errorBody{Error: err.Error(), Draining: errors.Is(err, ErrDraining)}
-	s.writeJSON(w, status, body)
+	out.fail(status, err)
 }
 
+// httpResponder answers one HTTP request: JSON for unary results and
+// errors, NDJSON for streams, with a fresh write deadline per record.
+type httpResponder struct {
+	s         *Server
+	w         http.ResponseWriter
+	r         *http.Request
+	rc        *http.ResponseController
+	streaming bool
+}
+
+// serveHTTP returns the HTTP handler of one method-table entry.
+func (s *Server) serveHTTP(name string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.serveRequest(r.Context(), name, headerDeadline(r), &httpResponder{s: s, w: w, r: r})
+	}
+}
+
+// body reads the bounded request body: an over-limit upload (the
+// MaxBytesReader case) is a 413, a malformed or truncated one a 400.
+func (h *httpResponder) body() ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(h.w, h.r.Body, maxBodyBytes))
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return nil, &statusError{http.StatusRequestEntityTooLarge, 0, fmt.Errorf("serve: read body: %w", err)}
+		}
+		return nil, badRequest("serve: read body: %w", err)
+	}
+	return body, nil
+}
+
+func (h *httpResponder) result(b []byte) { h.s.writeBody(h.w, http.StatusOK, b) }
+
+func (h *httpResponder) open() {
+	h.streaming = true
+	h.rc = http.NewResponseController(h.w)
+	h.w.Header().Set("Content-Type", "application/x-ndjson")
+	h.w.WriteHeader(http.StatusOK)
+}
+
+func (h *httpResponder) record(b []byte) error {
+	if err := faultinject.Fire("serve.stream.chunk"); err != nil {
+		return err
+	}
+	if err := faultinject.Fire("serve.write"); err != nil {
+		return err
+	}
+	// Slow-client guard: every record gets a fresh write budget; a
+	// client that stops reading fails the write instead of pinning
+	// this goroutine until the heat death of the drain.
+	_ = h.rc.SetWriteDeadline(time.Now().Add(h.s.cfg.WriteTimeout))
+	if _, err := h.w.Write(append(b, '\n')); err != nil {
+		return err
+	}
+	return h.rc.Flush()
+}
+
+// close has nothing to write: the stream's last record says done.
+func (h *httpResponder) close() {}
+
+func (h *httpResponder) fail(status int, err error) {
+	b, _ := json.Marshal(errorBody{Error: err.Error(), Draining: errors.Is(err, ErrDraining)}) // a string and a bool always encode
+	if h.streaming {
+		// Headers are long gone: the error is the final record. A
+		// client that is gone simply misses it.
+		_ = h.record(b)
+		return
+	}
+	var se *statusError
+	switch {
+	case errors.As(err, &se) && se.retry > 0:
+		h.w.Header().Set("Retry-After", strconv.FormatInt(int64(se.retry/time.Second)+1, 10))
+	case errors.Is(err, ErrDraining):
+		h.w.Header().Set("Retry-After", "1")
+	}
+	h.s.writeBody(h.w, status, b)
+}
+
+// errorBody is the JSON error envelope of HTTP responses and of
+// in-band stream errors.
+type errorBody struct {
+	Error    string `json:"error"`
+	Draining bool   `json:"draining,omitempty"`
+}
+
+// writeJSON writes v as one JSON document with its status (/metrics
+// and the health probes).
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, `{"error":"serve: encode response"}`, http.StatusInternalServerError)
+		return
+	}
+	s.writeBody(w, status, b)
+}
+
+// writeBody writes one encoded JSON document with its status.
+func (s *Server) writeBody(w http.ResponseWriter, status int, b []byte) {
 	if err := faultinject.Fire("serve.write"); err != nil {
 		// Injected write failure: the response is forfeited, the
 		// request still completes server-side (clients see a reset).
 		s.cfg.Logger.Printf("serve: injected write fault: %v", err)
 		panic(http.ErrAbortHandler)
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		s.counters.errors5xx.Add(1)
-		http.Error(w, `{"error":"serve: encode response"}`, http.StatusInternalServerError)
-		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -515,8 +554,13 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // failures (infeasible models, rejected certificates) are the client's
 // problem, not the server's: 422, never 5xx.
 func httpStatus(err error) int {
-	var br *badRequestError
+	var (
+		se *statusError
+		br *badRequestError
+	)
 	switch {
+	case errors.As(err, &se):
+		return se.status
 	case errors.As(err, &br):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrUnknownSession):
@@ -544,6 +588,19 @@ func (e *badRequestError) Unwrap() error { return e.err }
 func badRequest(format string, args ...any) error {
 	return &badRequestError{fmt.Errorf(format, args...)}
 }
+
+// statusError carries its own status past httpStatus's mapping: the
+// pipeline's 413, 429 (with admission's retry hint) and 500 refusals.
+type statusError struct {
+	status int
+	retry  time.Duration
+	err    error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
+
+func internalError(err error) error { return &statusError{http.StatusInternalServerError, 0, err} }
 
 // ListenAndServe listens on addr and serves both protocols until the
 // listener closes (Drain/Close do that).

@@ -405,6 +405,51 @@ func TestServeSweepStream(t *testing.T) {
 	}
 }
 
+// TestServeSweepDeadlineEndsWithError: a stream cut by its request
+// deadline ends with an in-band error record, never silently, and the
+// cut is counted like the binary protocol's 504 error frame.
+func TestServeSweepDeadlineEndsWithError(t *testing.T) {
+	s, ts := newTestServer(t, serve.Config{})
+	digest := openCircuit(t, ts, circuits.Example1(80))
+
+	blob, _ := json.Marshal(map[string]any{
+		"digest": digest, "path": 3, "from": 60.0, "to": 120.0, "steps": 100000,
+	})
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/sweep", bytes.NewReader(blob))
+	req.Header.Set("X-Deadline-Ms", "50")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", resp.StatusCode)
+	}
+	var last map[string]any
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		last = nil
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if last == nil || last["done"] == true {
+		t.Fatalf("final record = %v, want a deadline cut of a 100k-point sweep", last)
+	}
+	if _, isPoint := last["value"]; isPoint {
+		t.Fatalf("stream ended on a point record %v, want a final error record", last)
+	}
+	if errText, _ := last["error"].(string); !strings.Contains(errText, context.DeadlineExceeded.Error()) {
+		t.Fatalf("final record = %v, want the deadline error", last)
+	}
+	if m := s.Metrics(); m.StreamsAborted != 1 || m.Errors5xx != 1 {
+		t.Fatalf("streams_aborted = %d, errors_5xx = %d, want 1 and 1 (a 504)", m.StreamsAborted, m.Errors5xx)
+	}
+}
+
 func TestServeMonteCarloStream(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
 	digest := openCircuit(t, ts, circuits.Example1(80))

@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"mintc/internal/circuits"
@@ -268,47 +266,5 @@ func BenchmarkSimGaAs64Cycles(b *testing.B) {
 		if _, err := Run(context.Background(), ov, r.Schedule, Config{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	c := circuits.Example1(80)
-	r, err := core.MinTc(c, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Run(context.Background(), frozen(c), r.Schedule, Config{Cycles: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf, c, true); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 5 { // header + 4 cycles
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "cycle,D.L1,D.L2,D.L3,D.L4,A.L1") {
-		t.Errorf("header = %q", lines[0])
-	}
-	// 1 + 4 D columns + 4 A columns.
-	if got := strings.Count(lines[1], ","); got != 8 {
-		t.Errorf("row has %d commas, want 8", got)
-	}
-	// Without arrivals: fewer columns.
-	buf.Reset()
-	if err := tr.WriteCSV(&buf, c, false); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "A.L1") {
-		t.Error("arrival columns present without withArrivals")
-	}
-}
-
-func TestCSVFieldSanitizes(t *testing.T) {
-	if got := csvField(`a,b"c`); got != "a_b_c" {
-		t.Errorf("csvField = %q", got)
 	}
 }
