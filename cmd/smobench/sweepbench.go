@@ -107,7 +107,7 @@ func sweepOne(name string, c *core.Circuit, nValues int) (sweepRecord, error) {
 	for rep := 0; rep < sweepReps; rep++ {
 		rec := obs.New()
 		start := time.Now()
-		got, errs := decomp.Sweep(obs.With(context.Background(), rec), cc, opts, pathIndex, values, decomp.Config{}, nil)
+		got, errs := decomp.SweepAll(obs.With(context.Background(), rec), cc.Overlay(), opts, pathIndex, values, decomp.Config{}, nil)
 		wall := time.Since(start).Nanoseconds()
 		for i, err := range errs {
 			if err != nil {

@@ -16,7 +16,7 @@ import (
 // the paper's Example 1.
 
 func sweep(cc *core.Compiled, opts core.Options, pathIndex int, values []float64) ([]float64, []error) {
-	return decomp.Sweep(context.Background(), cc, opts, pathIndex, values, decomp.Config{}, nil)
+	return decomp.SweepAll(context.Background(), cc.Overlay(), opts, pathIndex, values, decomp.Config{}, nil)
 }
 
 func TestSweepDelaysMatchesSerial(t *testing.T) {

@@ -68,7 +68,7 @@ func TestSweepWarmMatchesPerValueSolves(t *testing.T) {
 	}
 	d0 := cc.Circuit().Paths()[0].Delay
 	values := []float64{d0 * 0.5, d0 * 0.8, d0, d0 * 1.2, d0 * 1.7, d0 * 2.5, d0 * 4}
-	tcs, errs := decomp.Sweep(context.Background(), cc, core.Options{}, 0, values, decomp.Config{}, nil)
+	tcs, errs := decomp.SweepAll(context.Background(), cc.Overlay(), core.Options{}, 0, values, decomp.Config{}, nil)
 	for i, v := range values {
 		if errs[i] != nil {
 			t.Fatalf("value %g: %v", v, errs[i])

@@ -47,7 +47,7 @@ func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, errs := Sweep(ctx, cc, core.Options{}, 512, values, Config{}, nil)
+		_, errs := SweepAll(ctx, cc.Overlay(), core.Options{}, 512, values, Config{}, nil)
 		for j := range errs {
 			if errs[j] != nil {
 				b.Fatal(errs[j])

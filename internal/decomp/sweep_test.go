@@ -50,7 +50,7 @@ func sweepOptionSets(t *testing.T, cc *core.Compiled) []core.Options {
 // many values the oracle rejected.
 func checkSweep(t *testing.T, tag string, cc *core.Compiled, opts core.Options, pidx int, values []float64) int {
 	t.Helper()
-	got, gotErrs := Sweep(context.Background(), cc, opts, pidx, values, Config{}, nil)
+	got, gotErrs := SweepAll(context.Background(), cc.Overlay(), opts, pidx, values, Config{}, nil)
 	want, wantErrs := oracleSweep(cc, opts, pidx, values)
 	failed := 0
 	for i, v := range values {
@@ -116,7 +116,7 @@ func TestSweepParitySuite(t *testing.T) {
 			}
 		}
 		margin := core.Options{Objective: core.MaxMarginAt(sets[len(sets)-1].FixedTc)}
-		_, errs := Sweep(context.Background(), cc, margin, pidx, values, Config{}, nil)
+		_, errs := SweepAll(context.Background(), cc.Overlay(), margin, pidx, values, Config{}, nil)
 		for i, err := range errs {
 			if err == nil || !strings.Contains(err.Error(), "requires the min-Tc objective") {
 				t.Errorf("%s value %g: max-margin err = %v, want a min-Tc-only rejection", b.Name, values[i], err)
@@ -144,9 +144,9 @@ func TestSweepWorkerInvariance(t *testing.T) {
 			values[i] = 3 * d * float64(i) / float64(len(values)-1)
 		}
 		for vi, opts := range optionVariants()[:3] {
-			ref, refErrs := Sweep(context.Background(), cc, opts, pidx, values, Config{Workers: 1}, nil)
+			ref, refErrs := SweepAll(context.Background(), cc.Overlay(), opts, pidx, values, Config{Workers: 1}, nil)
 			for _, w := range []int{2, 3, 8} {
-				got, gotErrs := Sweep(context.Background(), cc, opts, pidx, values, Config{Workers: w}, nil)
+				got, gotErrs := SweepAll(context.Background(), cc.Overlay(), opts, pidx, values, Config{Workers: w}, nil)
 				for i := range values {
 					if fmt.Sprint(gotErrs[i]) != fmt.Sprint(refErrs[i]) {
 						t.Errorf("%s/v%d workers=%d value %g: err %v, want %v", b.Name, vi, w, values[i], gotErrs[i], refErrs[i])
@@ -169,7 +169,7 @@ func TestSweepResolvesOnlyDirty(t *testing.T) {
 	run := func(pidx int) int64 {
 		rec := obs.New()
 		ctx := obs.With(context.Background(), rec)
-		_, errs := Sweep(ctx, cc, core.Options{}, pidx, values, Config{Workers: 1}, nil)
+		_, errs := SweepAll(ctx, cc.Overlay(), core.Options{}, pidx, values, Config{Workers: 1}, nil)
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("value %d: %v", i, err)

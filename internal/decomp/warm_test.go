@@ -24,7 +24,7 @@ func TestSweepPrimedStateZeroComponentSolves(t *testing.T) {
 	values := []float64{10, 20, 30, 40, 50}
 	rec := obs.New()
 	ctx := obs.With(context.Background(), rec)
-	got, errs := Sweep(ctx, cc, opts, cross, values, Config{Workers: 1}, st)
+	got, errs := SweepAll(ctx, cc.Overlay(), opts, cross, values, Config{Workers: 1}, st)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("value %g: %v", values[i], err)
@@ -57,7 +57,7 @@ func TestSweepPrimedStateIntraDirty(t *testing.T) {
 	values := []float64{10, 20, 30, 40, 50}
 	rec := obs.New()
 	ctx := obs.With(context.Background(), rec)
-	_, errs := Sweep(ctx, cc, opts, 4, values, Config{Workers: 1}, st)
+	_, errs := SweepAll(ctx, cc.Overlay(), opts, 4, values, Config{Workers: 1}, st)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("value %g: %v", values[i], err)

@@ -46,10 +46,13 @@ func (s *Solver) SolveFromCtx(ctx context.Context, lower float64) (*Result, erro
 
 // SolveFromWarmCtx is SolveFromCtx with the first probe warm-started
 // from the potentials left by the previous solve on this Solver (or
-// installed by SeedPotentials). The verdict and optimum are unchanged
-// — warm starts are sound feasibility oracles — and extraction still
-// finishes with a cold probe, so the returned schedule is the same
-// canonical least schedule SolveFromCtx produces.
+// installed by SeedPotentials), at max(lower, the stored witness
+// cycle's ratio re-priced at the current delays). The verdict and
+// optimum are unchanged — warm starts are sound feasibility oracles
+// and the re-priced witness is a real cycle, so its ratio is a sound
+// lower bound — and extraction still finishes with a cold probe, so the
+// returned schedule is the same canonical least schedule SolveFromCtx
+// produces.
 func (s *Solver) SolveFromWarmCtx(ctx context.Context, lower float64) (*Result, error) {
 	return solveFrom(ctx, s.b, s.opts, lower, true, true)
 }
@@ -63,14 +66,18 @@ func (s *Solver) MinTcFromCtx(ctx context.Context, lower float64) (*Result, erro
 }
 
 // MinTcFromWarmCtx is MinTcFromCtx with the first probe warm-started
-// from the potentials the previous solve on this Solver left behind.
-// Warm potentials are sound starting points for the Bellman–Ford
-// feasibility probe at any tc (shift invariance of difference
-// constraints), so the verdict — and the optimum the jumps converge
-// to, within the probe tolerance — is unchanged; only the
-// touched-node count is. Sweeps use it for every point after the
-// first: successive sweep points move one edge weight, so the
-// previous potentials already satisfy almost the whole graph.
+// from the potentials the previous solve on this Solver left behind,
+// at max(lower, the stored witness cycle's ratio re-priced at the
+// current delays). Warm potentials are sound starting points for the
+// Bellman–Ford feasibility probe at any tc (shift invariance of
+// difference constraints), and the re-priced witness is a real cycle
+// of the graph, so the verdict — and the optimum the jumps converge
+// to, within the probe tolerance — is unchanged; only the work is.
+// Sweeps use it for every point after the first: successive sweep
+// points move one edge weight, so the previous potentials already
+// satisfy almost the whole graph, and while the previous critical
+// cycle stays critical the first probe at its re-priced ratio is
+// feasible and ends the solve.
 func (s *Solver) MinTcFromWarmCtx(ctx context.Context, lower float64) (*Result, error) {
 	return solveFrom(ctx, s.b, s.opts, lower, false, true)
 }

@@ -117,7 +117,7 @@ type builder struct {
 	// any probe on this builder produced. Edge endpoints never change
 	// under SetDelay — only the affine constants move — so the stored
 	// cycle remains a real cycle of the graph, and its ratio recomputed
-	// against the current constants (Solver.WitnessBound) is always a
+	// against the current constants (witnessBound) is always a
 	// sound cycle-time lower bound, however stale the constants that
 	// found it.
 	witIdx []int32
@@ -571,7 +571,29 @@ func (b *builder) probe(ctx context.Context, tc float64, warm bool) (dist []floa
 		b.witIdx = append(b.witIdx[:0], witIdx...)
 		return nil, b.edgesOf(witIdx), nil
 	}
+	if warm {
+		b.anchorPotentials()
+	}
 	return b.dist, nil, nil
+}
+
+// anchorPotentials shifts a warm probe's feasible potentials so the
+// origin sits at zero again. A uniform shift maps every solution of the
+// difference constraints to another, so this changes no verdict. It
+// keeps a long warm walk — a per-point checker re-solving one Solver
+// hundreds of thousands of times — from creeping: each lowered tc lifts
+// every potential on a tight cycle, the origin's included, and once the
+// magnitudes reach ~2^16 the rounding error summed over a lap of a
+// thousand-edge tight cycle exceeds eps, so every later probe pumps
+// noise around the cycle for hundreds of rounds.
+func (b *builder) anchorPotentials() {
+	off := b.dist[b.z]
+	if off == 0 || math.IsInf(off, 0) {
+		return
+	}
+	for i := range b.dist {
+		b.dist[i] -= off
+	}
 }
 
 // errDenseFallback is the drain engines' private signal that the
@@ -922,7 +944,9 @@ func solveWith(ctx context.Context, b *builder, opts core.Options) (*Result, err
 // firstWarm == true even the first probe reuses the potentials left by
 // the previous solve on the same builder; any finite potentials are
 // admissible starting points for the Bellman–Ford feasibility probe
-// (shift invariance), so this changes cost, never answers.
+// (shift invariance), so this changes cost, never answers. A warm
+// solve also starts no lower than the stored witness's re-priced ratio
+// (witnessBound), another sound bound.
 //
 // Each infeasible probe is followed by Howard's policy iteration on the
 // probe's predecessor graph (howard.go). Its best policy cycle is a
@@ -935,6 +959,11 @@ func solveFrom(ctx context.Context, b *builder, opts core.Options, lower float64
 	rec := obs.From(ctx)
 	res := &Result{}
 	tc := lower
+	if firstWarm {
+		if wb, ok := b.witnessBound(); ok && wb > tc {
+			tc = wb
+		}
+	}
 	if opts.FixedTc > tc {
 		tc = opts.FixedTc
 	}

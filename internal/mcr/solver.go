@@ -115,7 +115,10 @@ func (s *Solver) Potentials() []float64 {
 // probe (shift invariance of difference constraints), so seeding
 // changes cost, never answers; a length mismatch (different subsystem)
 // is ignored. The first warm probe consuming a seed reports a
-// warm_potential_hits tick.
+// warm_potential_hits tick. Seeding replaces the whole warm state: the
+// stored witness is dropped too, so a seeded solve starts from the
+// caller's bound alone and its outcome is a function of the seed and
+// the current delays, not of whatever this Solver solved before.
 func (s *Solver) SeedPotentials(pot []float64) {
 	s.b.ensureScratch()
 	if len(pot) != len(s.b.dist) {
@@ -124,26 +127,29 @@ func (s *Solver) SeedPotentials(pot []float64) {
 	copy(s.b.dist, pot)
 	s.b.distValid = true
 	s.b.seededPot = true
+	s.b.witIdx = s.b.witIdx[:0]
 }
 
-// WitnessBound recomputes the most recent witness cycle's ratio
+// witnessBound recomputes the most recent witness cycle's ratio
 // against the current edge constants. Edge endpoints never change
 // under SetDelay — only the affine constants move — so the stored
 // cycle is still a real cycle of the graph and its ratio is a sound
 // cycle-time lower bound at the current delays, however stale the
 // delays that found it. Returns ok == false when no ratio-bearing
-// witness is stored (no probe found one, or the cycle crosses no
-// boundary at the current constants). This is what makes a sweep walk
-// cheap: while the same cycle stays critical, each point costs one
-// ratio recomputation plus one warm feasible probe.
-func (s *Solver) WitnessBound() (bound float64, ok bool) {
-	if len(s.b.witIdx) == 0 {
+// witness is stored (no probe found one, the potentials were seeded,
+// or the cycle crosses no boundary at the current constants). Every
+// warm solve starts from it: while the same cycle stays critical — the
+// straight segments between breakpoints of a piecewise-linear
+// Tc(delay) curve — the first probe at the bound is feasible and a
+// re-solve costs one ratio recomputation plus one warm probe.
+func (b *builder) witnessBound() (bound float64, ok bool) {
+	if len(b.witIdx) == 0 {
 		return 0, false
 	}
 	var sumA, sumB float64
-	for _, ei := range s.b.witIdx {
-		sumA += s.b.edges[ei].a
-		sumB += s.b.edges[ei].b
+	for _, ei := range b.witIdx {
+		sumA += b.edges[ei].a
+		sumB += b.edges[ei].b
 	}
 	if sumB >= -eps {
 		return 0, false

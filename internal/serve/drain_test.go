@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -364,5 +365,41 @@ func TestServeListenerDrainCompletesInflightStream(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after drain completed")
+	}
+}
+
+// TestDrainClosesIdleBinaryConnection: a binary client idle between
+// requests when drain begins is not left to the idle timeout. It gets
+// the typed drain frame and then EOF within a second, while Drain
+// itself returns at once.
+func TestDrainClosesIdleBinaryConnection(t *testing.T) {
+	s, addr := startSniffing(t, serve.Config{DrainTimeout: time.Second})
+	bc := dialBin(t, addr)
+	if resp := bc.call(t, "sessions", map[string]any{}); resp.Error != "" {
+		t.Fatalf("sessions: %s", resp.Error)
+	}
+
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	deadline := time.Now().Add(time.Second)
+	bc.c.SetReadDeadline(deadline)
+	frames := 0
+	for {
+		var f binResp
+		err := serve.DecodeFrame(bc.r, &f)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("idle connection not closed within 1s of drain: %v after %d frame(s)", err, frames)
+		}
+		if !f.Draining || f.Status != http.StatusServiceUnavailable {
+			t.Fatalf("frame on idle connection = %+v, want the typed drain frame", f)
+		}
+		frames++
+	}
+	if frames != 1 {
+		t.Fatalf("got %d drain frames before EOF, want 1", frames)
 	}
 }

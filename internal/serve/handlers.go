@@ -64,7 +64,7 @@ func (s *Server) streamTick(ctx context.Context) error {
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-s.abortCh:
+	case <-s.abortCtx.Done():
 		return ErrDraining
 	default:
 		return nil
@@ -476,6 +476,26 @@ type sweepRequest struct {
 	Steps  int       `json:"steps,omitempty"`
 }
 
+// sweepPoint and sweepPointError are the streamed point records: a
+// value's Tc, or why it has none. Sweep points are min-cycle-ratio
+// answers no certificate checks, and every record says so.
+type sweepPoint struct {
+	Value     float64 `json:"value"`
+	Tc        float64 `json:"tc"`
+	Certified bool    `json:"certified"`
+}
+
+type sweepPointError struct {
+	Value     float64 `json:"value"`
+	Error     string  `json:"error"`
+	Certified bool    `json:"certified"`
+}
+
+// methodSweep streams the session's decomposed sweep (Session.Sweep):
+// one warm min-cycle-ratio walk over the values, each point emitted in
+// input order as it lands. Points are not memoized. The deadline, a
+// disconnect and the drain abort are checked before every point; any
+// of them stops the walk.
 func (s *Server) methodSweep(ctx context.Context, req sweepRequest, q query, emit func(any) error) (any, error) {
 	if req.Path < 0 || req.Path >= q.e.paths {
 		return nil, badRequest("serve: sweep path %d out of range [0,%d)", req.Path, q.e.paths)
@@ -494,32 +514,21 @@ func (s *Server) methodSweep(ctx context.Context, req sweepRequest, q query, emi
 			values[i] = req.From + float64(i)*step
 		}
 	}
-	for _, v := range values {
+	err := q.e.sess.Sweep(ctx, q.ov, req.Path, values, q.opts, func(i int, tc float64, err error) error {
 		if err := s.streamTick(ctx); err != nil {
-			return nil, err
+			return err
 		}
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			if err := emit(map[string]any{"value": v, "error": "invalid delay (must be finite and nonnegative)"}); err != nil {
-				return nil, err
-			}
-			continue
+		v := values[i]
+		switch {
+		case v < 0 || math.IsNaN(v) || math.IsInf(v, 0):
+			return emit(sweepPointError{Value: v, Error: "invalid delay (must be finite and nonnegative)"})
+		case err != nil:
+			return emit(sweepPointError{Value: v, Error: err.Error()})
 		}
-		// Each point is one memoized session query: revisited values hit
-		// the LRU, every point is independently cancellable, and
-		// mid-stream aborts lose nothing already emitted.
-		res, err := q.e.sess.MinTc(ctx, q.ov.With(req.Path, v), q.opts)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, err
-			}
-			if err := emit(map[string]any{"value": v, "error": err.Error()}); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := emit(map[string]any{"value": v, "tc": res.Schedule.Tc}); err != nil {
-			return nil, err
-		}
+		return emit(sweepPoint{Value: v, Tc: tc})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return nil, emit(map[string]any{"done": true, "points": len(values)})
 }

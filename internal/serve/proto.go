@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"time"
 
 	"mintc/internal/faultinject"
@@ -146,8 +147,14 @@ func (s *Server) serveBinary(c net.Conn) {
 	defer c.Close()
 	w := bufio.NewWriter(c)
 	for {
-		req, err := readFrame(c)
+		req, err := s.readFrame(c)
 		if err != nil {
+			if s.Draining() {
+				// Drain woke this idle connection, or found it between
+				// requests: say why it ends, then end it.
+				(&binResponder{s: s, c: c, w: w}).fail(http.StatusServiceUnavailable, ErrDraining)
+				lingerClose(c)
+			}
 			return // EOF, timeout, oversized or malformed frame: drop the conn
 		}
 		s.counters.binFrames.Add(1)
@@ -240,13 +247,36 @@ func (b *binResponder) fail(status int, err error) {
 	_ = b.write(resp)
 }
 
-// readFrame reads one request frame under the idle deadline.
-func readFrame(c net.Conn) (binRequest, error) {
+// readFrame reads one request frame under the idle deadline. The
+// connection is idle while it waits, so drain can wake it (wakeIdle);
+// once drain has begun it does not wait at all.
+func (s *Server) readFrame(c net.Conn) (binRequest, error) {
 	var req binRequest
+	s.binMu.Lock()
+	if s.Draining() {
+		s.binMu.Unlock()
+		return req, ErrDraining
+	}
+	s.binIdle[c] = struct{}{}
 	_ = c.SetReadDeadline(time.Now().Add(binIdleTimeout))
+	s.binMu.Unlock()
 	err := DecodeFrame(c, &req)
+	s.binMu.Lock()
+	delete(s.binIdle, c)
+	s.binMu.Unlock()
 	_ = c.SetReadDeadline(time.Time{})
 	return req, err
+}
+
+// wakeIdle ends the wait of every binary connection idle in readFrame,
+// once drain has begun: without it an idle client would hold its
+// connection and goroutine until binIdleTimeout.
+func (s *Server) wakeIdle() {
+	s.binMu.Lock()
+	defer s.binMu.Unlock()
+	for c := range s.binIdle {
+		_ = c.SetReadDeadline(time.Now())
+	}
 }
 
 // WriteBinaryMagic writes the protocol preamble a binary client must

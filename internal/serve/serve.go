@@ -178,9 +178,18 @@ type Server struct {
 	state    atomic.Int32
 	inflight sync.WaitGroup
 	drainCh  chan struct{} // closed when drain begins (stop accepting)
-	abortCh  chan struct{} // closed at the drain deadline (streams bail)
 	doneCh   chan struct{} // closed when drain completes (state drained)
 	doneOnce sync.Once
+	// abortCtx is cancelled at the drain deadline: streams bail at
+	// their next record, and stop counting as in flight.
+	abortCtx context.Context
+	abort    context.CancelFunc
+
+	// binIdle holds the binary connections waiting for their next
+	// request, so drain can wake them (wakeIdle) instead of leaving
+	// them to the idle timeout.
+	binMu   sync.Mutex
+	binIdle map[net.Conn]struct{}
 
 	// listeners guards the raw listeners Serve is accepting on, so
 	// Drain/Close can stop them.
@@ -219,10 +228,11 @@ func New(cfg Config) *Server {
 		rec:       obs.New(),
 		start:     cfg.Now(),
 		drainCh:   make(chan struct{}),
-		abortCh:   make(chan struct{}),
 		doneCh:    make(chan struct{}),
+		binIdle:   make(map[net.Conn]struct{}),
 		sweepStop: make(chan struct{}),
 	}
+	s.abortCtx, s.abort = context.WithCancel(context.Background())
 	s.mux = s.buildMux()
 	if cfg.IdleTTL > 0 {
 		go s.sweepLoop()
@@ -349,7 +359,9 @@ func (s *Server) serveRequest(parent context.Context, name string, deadlineMs in
 		s.fail(out, ErrDraining)
 		return
 	}
-	defer s.endRequest()
+	var endOnce sync.Once
+	end := func() { endOnce.Do(s.endRequest) }
+	defer end()
 	if ok, retry := s.adm.Admit(); !ok {
 		s.fail(out, &statusError{http.StatusTooManyRequests, retry,
 			fmt.Errorf("serve: overloaded, retry after %v", retry.Round(time.Millisecond))})
@@ -405,6 +417,13 @@ func (s *Server) serveRequest(parent context.Context, name string, deadlineMs in
 	}
 
 	s.counters.streamsStarted.Add(1)
+	// Once the drain deadline passes, a stream does no more work: it
+	// ends with the typed drain error at its next record. It stops
+	// counting as in flight right then, because a client that has
+	// stopped reading can hold that record's write for up to
+	// WriteTimeout; the final record still reaches a client that reads.
+	stop := context.AfterFunc(s.abortCtx, end)
+	defer stop()
 	out.open()
 	_, err = m.run(s, ctx, body, func(v any) error {
 		b, err := json.Marshal(v)
@@ -675,10 +694,11 @@ func (s *Server) dispatchConn(c net.Conn, hl *chanListener) {
 
 // Drain shuts the server down gracefully: readiness flips false, new
 // requests are refused with the typed drain error, listeners stop
-// accepting, and in-flight requests get DrainTimeout to finish. If any
-// are still running at the deadline, the abort channel closes —
-// streams then terminate with the typed drain error at their next
-// chunk — and one more short grace is granted. Returns nil when
+// accepting, binary connections waiting for a request get a drain
+// frame and close, and in-flight requests get DrainTimeout to finish.
+// If any are still running at the deadline, the abort fires — streams
+// then terminate with the typed drain error at their next chunk — and
+// one more short grace is granted. Returns nil when
 // everything wound down, ErrDrainTimeout otherwise. Idempotent; the
 // first caller wins. ctx bounds the total wait on top of the
 // configured timeouts.
@@ -693,6 +713,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Unlock()
 
 	s.closeListeners()
+	s.wakeIdle()
 
 	done := make(chan struct{})
 	go func() {
@@ -715,7 +736,7 @@ func (s *Server) Drain(ctx context.Context) error {
 
 	// Deadline passed: cut streams loose with the typed error and give
 	// them a moment to notice.
-	close(s.abortCh)
+	s.abort()
 	grace := s.cfg.DrainTimeout / 4
 	if grace > 2*time.Second {
 		grace = 2 * time.Second
@@ -752,6 +773,7 @@ func (s *Server) Close() {
 	s.drainComplete()
 	s.sweepOnce.Do(func() { close(s.sweepStop) })
 	s.closeListeners()
+	s.wakeIdle()
 }
 
 func (s *Server) closeListeners() {

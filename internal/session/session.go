@@ -313,9 +313,9 @@ func (s *Session) CheckTc(ctx context.Context, ov core.DelayOverlay, sched *core
 // had delay newDelay?" against the overlay: it solves (or recalls) the
 // overlay's MinTc, tries the pure dual shortcut, and only when the
 // optimal basis changes falls back to a full solve of the edited
-// overlay — which is itself memoized, so interactive sweeps that
-// revisit a delay pay nothing. Nothing is mutated anywhere; resolved
-// reports whether the fallback ran.
+// overlay — which is itself memoized, so a what-if loop that revisits
+// a delay pays nothing. Nothing is mutated anywhere; resolved reports
+// whether the fallback ran.
 func (s *Session) Reoptimize(ctx context.Context, ov core.DelayOverlay, pathIndex int, newDelay float64, opts core.Options) (tc float64, resolved bool, err error) {
 	base, err := s.MinTc(ctx, ov, opts)
 	if err != nil {
@@ -333,6 +333,23 @@ func (s *Session) Reoptimize(ctx context.Context, ov core.DelayOverlay, pathInde
 		return 0, true, err
 	}
 	return full.Schedule.Tc, true, nil
+}
+
+// Sweep walks path pathIndex of the overlay through values with the
+// decomposed min-cycle-ratio sweep (decomp.Sweep), handing each value's
+// Tc or error to emit in input order; an error from emit stops the
+// walk and is returned. Priming goes through the session's per-shape
+// decomposed-solver State, so a session's sweeps share their component
+// answers with each other and with its decomposed solves. Points are
+// neither memoized nor deduplicated — a sweep is a stream, and one
+// result per point in the LRU would evict the interactive queries the
+// cache is for — and, like MinTc's, they are uncertified. The walk
+// runs on one worker, so one sweep holds one core while it streams.
+func (s *Session) Sweep(ctx context.Context, ov core.DelayOverlay, pathIndex int, values []float64, opts core.Options, emit func(i int, tc float64, err error) error) error {
+	if err := s.checkOverlay(ov); err != nil {
+		return err
+	}
+	return decomp.Sweep(ctx, ov, opts, pathIndex, values, decomp.Config{Workers: 1}, s.decompState(opts), emit)
 }
 
 // baseBasis returns the optimal basis of the unedited snapshot's MinTc

@@ -660,7 +660,7 @@ func NewDecompState() *DecompState { return decomp.NewState() }
 // (invalid delay, infeasible under a pinned FixedTc) carries its error
 // at its index. Only the min-Tc objective is supported.
 func SweepDelays(ctx context.Context, cc *Compiled, opts Options, pathIndex int, values []float64) ([]float64, []error) {
-	return decomp.Sweep(ctx, cc, opts, pathIndex, values, decomp.Config{}, nil)
+	return decomp.SweepAll(ctx, cc.Overlay(), opts, pathIndex, values, decomp.Config{}, nil)
 }
 
 // NewSession opens an analysis session over a frozen snapshot. All
