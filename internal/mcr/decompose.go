@@ -77,7 +77,10 @@ func (s *Solver) MinTcFromCtx(ctx context.Context, lower float64) (*Result, erro
 // points move one edge weight, so the previous potentials already
 // satisfy almost the whole graph, and while the previous critical
 // cycle stays critical the first probe at its re-priced ratio is
-// feasible and ends the solve.
+// feasible and ends the solve. Such a re-solve carries no witness
+// cycle: it is the stored one, and rendering its arcs would cost more
+// than the probe on every sweep point, which reports Tc only.
+// SolveFromWarmCtx does report it.
 func (s *Solver) MinTcFromWarmCtx(ctx context.Context, lower float64) (*Result, error) {
 	return solveFrom(ctx, s.b, s.opts, lower, false, true)
 }

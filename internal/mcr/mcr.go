@@ -571,16 +571,13 @@ func (b *builder) probe(ctx context.Context, tc float64, warm bool) (dist []floa
 		b.witIdx = append(b.witIdx[:0], witIdx...)
 		return nil, b.edgesOf(witIdx), nil
 	}
-	if warm {
-		b.anchorPotentials()
-	}
 	return b.dist, nil, nil
 }
 
-// anchorPotentials shifts a warm probe's feasible potentials so the
-// origin sits at zero again. A uniform shift maps every solution of the
-// difference constraints to another, so this changes no verdict. It
-// keeps a long warm walk — a per-point checker re-solving one Solver
+// anchorPotentials shifts feasible warm potentials so the origin sits
+// at zero again. A uniform shift maps every solution of the difference
+// constraints to another, so this changes no verdict. It keeps a long
+// warm walk — a sweep, or a per-point checker re-solving one Solver
 // hundreds of thousands of times — from creeping: each lowered tc lifts
 // every potential on a tight cycle, the origin's included, and once the
 // magnitudes reach ~2^16 the rounding error summed over a lap of a
@@ -959,13 +956,18 @@ func solveFrom(ctx context.Context, b *builder, opts core.Options, lower float64
 	rec := obs.From(ctx)
 	res := &Result{}
 	tc := lower
+	// An unseeded warm re-solve with a stored witness is one step of a
+	// long walk (anchorPotentials). Seeded and cold solves are not, and
+	// extraction ends on a cold probe, which re-anchors by itself.
+	walk := firstWarm && !extract && len(b.witIdx) > 0
+	fromWitness := false
 	if firstWarm {
 		if wb, ok := b.witnessBound(); ok && wb > tc {
-			tc = wb
+			tc, fromWitness = wb, true
 		}
 	}
 	if opts.FixedTc > tc {
-		tc = opts.FixedTc
+		tc, fromWitness = opts.FixedTc, false
 	}
 	var lastWitness []edge
 	for iter := 0; ; iter++ {
@@ -990,6 +992,9 @@ func solveFrom(ctx context.Context, b *builder, opts core.Options, lower float64
 			if !extract {
 				res.Tc = tc
 				b.setWitness(res, lastWitness)
+				if walk {
+					b.anchorPotentials()
+				}
 			} else {
 				if warm {
 					// Warm potentials certify feasibility but are not the
@@ -1004,6 +1009,12 @@ func solveFrom(ctx context.Context, b *builder, opts core.Options, lower float64
 					if witness != nil {
 						return nil, fmt.Errorf("mcr: cold re-probe found a witness at feasible tc=%g", tc)
 					}
+				}
+				if fromWitness && iter == 0 {
+					// Feasible at the re-priced witness: that cycle
+					// binds, and the schedule reports it like a cold
+					// solve would.
+					lastWitness = b.edgesOf(b.witIdx)
 				}
 				b.extract(res, tc, dist, lastWitness)
 			}

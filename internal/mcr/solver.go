@@ -121,13 +121,13 @@ func (s *Solver) Potentials() []float64 {
 // the current delays, not of whatever this Solver solved before.
 func (s *Solver) SeedPotentials(pot []float64) {
 	s.b.ensureScratch()
+	s.b.witIdx = s.b.witIdx[:0]
 	if len(pot) != len(s.b.dist) {
 		return
 	}
 	copy(s.b.dist, pot)
 	s.b.distValid = true
 	s.b.seededPot = true
-	s.b.witIdx = s.b.witIdx[:0]
 }
 
 // witnessBound recomputes the most recent witness cycle's ratio

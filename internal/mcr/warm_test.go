@@ -81,6 +81,19 @@ func TestWarmSolveStartsAtWitness(t *testing.T) {
 		if d := math.Abs(got.Tc-want.Tc) / want.Tc; d > 1e-12 {
 			t.Errorf("%s: warm Tc %.17g, fresh %.17g", bm.Name, got.Tc, want.Tc)
 		}
+		// The extracting warm solve also ends at the re-priced witness,
+		// and reports it as the binding cycle, like the fresh solve.
+		gotS, err := s.SolveFromWarmCtx(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantS, err := fresh.SolveFromCtx(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := fmt.Sprint(arcSet(gotS.CriticalArcs)), fmt.Sprint(arcSet(wantS.CriticalArcs)); g != w || w == "[]" {
+			t.Errorf("%s: warm solve critical arcs %s, fresh %s", bm.Name, g, w)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -109,6 +110,10 @@ func TestDrainCompletesInflightStreams(t *testing.T) {
 	}
 }
 
+// TestDrainAbortsLongStreams: a stream still running at the drain
+// deadline, whose client keeps reading, notices the abort within the
+// grace window and ends with the typed drain record, so Drain itself
+// succeeds, and only once the handler has returned.
 func TestDrainAbortsLongStreams(t *testing.T) {
 	s, ts := newTestServer(t, serve.Config{DrainTimeout: 150 * time.Millisecond})
 	digest := openCircuit(t, ts, circuits.Example1(80))
@@ -121,20 +126,35 @@ func TestDrainAbortsLongStreams(t *testing.T) {
 	if !sc.Scan() {
 		t.Fatalf("stream never started: %v", sc.Err())
 	}
+	type outcome struct {
+		last map[string]any
+		err  error
+	}
+	read := make(chan outcome, 1)
+	go func() {
+		var o outcome
+		for sc.Scan() {
+			o.last = nil
+			if err := json.Unmarshal(sc.Bytes(), &o.last); err != nil {
+				o.err = fmt.Errorf("bad NDJSON line %q: %v", sc.Text(), err)
+				break
+			}
+		}
+		read <- o
+	}()
 
-	// The stream notices abortCh within the grace window, so Drain
-	// itself succeeds.
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-
-	var last map[string]any
-	for sc.Scan() {
-		last = nil
-		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
+	if m := s.Metrics(); m.StreamsDrained != 1 {
+		t.Fatalf("streams_drained = %d when Drain returned, want 1", m.StreamsDrained)
 	}
+
+	o := <-read
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	last := o.last
 	if last == nil {
 		t.Fatal("stream ended without a final record")
 	}
@@ -145,8 +165,45 @@ func TestDrainAbortsLongStreams(t *testing.T) {
 	if !strings.Contains(errText, serve.ErrDraining.Error()) || last["draining"] != true {
 		t.Fatalf("final record = %v, want typed drain error with draining:true", last)
 	}
-	if m := s.Metrics(); m.StreamsDrained == 0 {
-		t.Fatal("streams_drained not counted")
+}
+
+// TestDrainCutsStalledStreamWrite: a client that stops reading leaves
+// its stream blocked in a write once the socket buffers fill. The drain
+// abort cuts that write's deadline, so Drain still succeeds within its
+// budget and the stream has ended, and been counted, when it returns;
+// the client then reads to the end of a cut stream instead of hanging.
+func TestDrainCutsStalledStreamWrite(t *testing.T) {
+	s, ts := newTestServer(t, serve.Config{DrainTimeout: 300 * time.Millisecond})
+	digest := openCircuit(t, ts, circuits.Example1(80))
+
+	resp, sc := startStream(t, ts.URL+"/v1/sweep", map[string]any{
+		"digest": digest, "path": 3, "from": 60.0, "to": 120.0, "steps": 100000,
+	})
+	defer resp.Body.Close()
+	if !sc.Scan() {
+		t.Fatalf("stream never started: %v", sc.Err())
+	}
+
+	start := time.Now()
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain with a stalled client: %v", err)
+	}
+	if d := time.Since(start); d > 3*time.Second {
+		t.Fatalf("Drain took %v with a 300ms budget and at most 2s of grace", d)
+	}
+	if m := s.Metrics(); m.StreamsDrained+m.StreamsAborted != 1 {
+		t.Fatalf("streams drained %d, aborted %d when Drain returned: the stalled stream had not ended",
+			m.StreamsDrained, m.StreamsAborted)
+	}
+	done := make(chan struct{})
+	go func() {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stalled client still reading 5s after drain")
 	}
 }
 

@@ -212,7 +212,7 @@ func (b *binResponder) write(resp binResponse) error {
 	err := faultinject.Fire("serve.write")
 	if err == nil {
 		resp.ID = b.req.ID
-		_ = b.c.SetWriteDeadline(time.Now().Add(b.s.cfg.WriteTimeout))
+		b.s.armWrite(b.c.SetWriteDeadline)
 		if err = EncodeFrame(b.w, resp); err == nil {
 			err = b.w.Flush()
 		}
@@ -237,6 +237,8 @@ func (b *binResponder) record(body []byte) error {
 
 func (b *binResponder) close() { _ = b.write(binResponse{Done: true}) }
 
+func (b *binResponder) setWriteDeadline(t time.Time) error { return b.c.SetWriteDeadline(t) }
+
 func (b *binResponder) fail(status int, err error) {
 	resp := binResponse{Error: err.Error(), Status: status, Draining: errors.Is(err, ErrDraining)}
 	var se *statusError
@@ -248,35 +250,25 @@ func (b *binResponder) fail(status int, err error) {
 }
 
 // readFrame reads one request frame under the idle deadline. The
-// connection is idle while it waits, so drain can wake it (wakeIdle);
-// once drain has begun it does not wait at all.
+// connection is idle while it waits, so drain wakes it: without that an
+// idle client would hold its connection and goroutine until
+// binIdleTimeout. A wake-up registered after drain began fires at once.
+// One that has started is waited for, so it cannot cut a later read
+// deadline (lingerClose's).
 func (s *Server) readFrame(c net.Conn) (binRequest, error) {
 	var req binRequest
-	s.binMu.Lock()
-	if s.Draining() {
-		s.binMu.Unlock()
-		return req, ErrDraining
-	}
-	s.binIdle[c] = struct{}{}
 	_ = c.SetReadDeadline(time.Now().Add(binIdleTimeout))
-	s.binMu.Unlock()
+	woke := make(chan struct{})
+	stop := context.AfterFunc(s.drainCtx, func() {
+		_ = c.SetReadDeadline(time.Now())
+		close(woke)
+	})
 	err := DecodeFrame(c, &req)
-	s.binMu.Lock()
-	delete(s.binIdle, c)
-	s.binMu.Unlock()
+	if !stop() {
+		<-woke
+	}
 	_ = c.SetReadDeadline(time.Time{})
 	return req, err
-}
-
-// wakeIdle ends the wait of every binary connection idle in readFrame,
-// once drain has begun: without it an idle client would hold its
-// connection and goroutine until binIdleTimeout.
-func (s *Server) wakeIdle() {
-	s.binMu.Lock()
-	defer s.binMu.Unlock()
-	for c := range s.binIdle {
-		_ = c.SetReadDeadline(time.Now())
-	}
 }
 
 // WriteBinaryMagic writes the protocol preamble a binary client must

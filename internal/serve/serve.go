@@ -177,19 +177,18 @@ type Server struct {
 	drainMu  sync.Mutex
 	state    atomic.Int32
 	inflight sync.WaitGroup
-	drainCh  chan struct{} // closed when drain begins (stop accepting)
 	doneCh   chan struct{} // closed when drain completes (state drained)
 	doneOnce sync.Once
+	// drainCtx is cancelled when drain begins: the idle sweep stops and
+	// binary connections waiting for a request wake (readFrame).
+	drainCtx   context.Context
+	startDrain context.CancelFunc
 	// abortCtx is cancelled at the drain deadline: streams bail at
-	// their next record, and stop counting as in flight.
+	// their next record, and no stream write outlives abortBy (unix
+	// ns, stored before the cancel).
 	abortCtx context.Context
 	abort    context.CancelFunc
-
-	// binIdle holds the binary connections waiting for their next
-	// request, so drain can wake them (wakeIdle) instead of leaving
-	// them to the idle timeout.
-	binMu   sync.Mutex
-	binIdle map[net.Conn]struct{}
+	abortBy  atomic.Int64
 
 	// listeners guards the raw listeners Serve is accepting on, so
 	// Drain/Close can stop them.
@@ -227,11 +226,10 @@ func New(cfg Config) *Server {
 		brk:       newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
 		rec:       obs.New(),
 		start:     cfg.Now(),
-		drainCh:   make(chan struct{}),
 		doneCh:    make(chan struct{}),
-		binIdle:   make(map[net.Conn]struct{}),
 		sweepStop: make(chan struct{}),
 	}
+	s.drainCtx, s.startDrain = context.WithCancel(context.Background())
 	s.abortCtx, s.abort = context.WithCancel(context.Background())
 	s.mux = s.buildMux()
 	if cfg.IdleTTL > 0 {
@@ -273,7 +271,7 @@ func (s *Server) sweepLoop() {
 			}
 		case <-s.sweepStop:
 			return
-		case <-s.drainCh:
+		case <-s.drainCtx.Done():
 			return
 		}
 	}
@@ -346,6 +344,25 @@ type responder interface {
 	// fail writes an error with its status: the whole response before
 	// a stream opens, a final in-band record or frame after.
 	fail(status int, err error)
+	// setWriteDeadline moves the deadline of the response's writes,
+	// the one in progress included; safe to call from another
+	// goroutine while a write blocks.
+	setWriteDeadline(t time.Time) error
+}
+
+// armWrite sets the deadline of a write about to start: the
+// slow-client budget, cut to abortBy once the drain deadline has
+// passed. The abort is checked after the set, not before: an abort
+// whose cut (serveRequest) lands just before the set is undone by it,
+// and the check then redoes the cut.
+func (s *Server) armWrite(set func(time.Time) error) {
+	d := time.Now().Add(s.cfg.WriteTimeout)
+	_ = set(d)
+	if s.abortCtx.Err() != nil {
+		if by := time.Unix(0, s.abortBy.Load()); by.Before(d) {
+			_ = set(by)
+		}
+	}
 }
 
 // serveRequest is the one request pipeline both protocols run: the
@@ -359,9 +376,7 @@ func (s *Server) serveRequest(parent context.Context, name string, deadlineMs in
 		s.fail(out, ErrDraining)
 		return
 	}
-	var endOnce sync.Once
-	end := func() { endOnce.Do(s.endRequest) }
-	defer end()
+	defer s.endRequest()
 	if ok, retry := s.adm.Admit(); !ok {
 		s.fail(out, &statusError{http.StatusTooManyRequests, retry,
 			fmt.Errorf("serve: overloaded, retry after %v", retry.Round(time.Millisecond))})
@@ -417,14 +432,24 @@ func (s *Server) serveRequest(parent context.Context, name string, deadlineMs in
 	}
 
 	s.counters.streamsStarted.Add(1)
-	// Once the drain deadline passes, a stream does no more work: it
-	// ends with the typed drain error at its next record. It stops
-	// counting as in flight right then, because a client that has
-	// stopped reading can hold that record's write for up to
-	// WriteTimeout; the final record still reaches a client that reads.
-	stop := context.AfterFunc(s.abortCtx, end)
-	defer stop()
 	out.open()
+	// Once the drain deadline passes, a stream does no more work: it
+	// ends with the typed drain error at its next record. A write
+	// already blocked on a client that stopped reading would hold the
+	// handler for up to WriteTimeout, so the abort cuts that write's
+	// deadline to abortBy, as armWrite does every later one: the stream
+	// ends within Drain's grace either way, and a client that reads
+	// still gets the final record.
+	cut := make(chan struct{})
+	stop := context.AfterFunc(s.abortCtx, func() {
+		defer close(cut)
+		_ = out.setWriteDeadline(time.Unix(0, s.abortBy.Load()))
+	})
+	defer func() {
+		if !stop() {
+			<-cut // the cut runs on its own goroutine; the connection outlives this request
+		}
+	}()
 	_, err = m.run(s, ctx, body, func(v any) error {
 		b, err := json.Marshal(v)
 		if err != nil {
@@ -510,7 +535,7 @@ func (h *httpResponder) record(b []byte) error {
 	// Slow-client guard: every record gets a fresh write budget; a
 	// client that stops reading fails the write instead of pinning
 	// this goroutine until the heat death of the drain.
-	_ = h.rc.SetWriteDeadline(time.Now().Add(h.s.cfg.WriteTimeout))
+	h.s.armWrite(h.rc.SetWriteDeadline)
 	if _, err := h.w.Write(append(b, '\n')); err != nil {
 		return err
 	}
@@ -519,6 +544,8 @@ func (h *httpResponder) record(b []byte) error {
 
 // close has nothing to write: the stream's last record says done.
 func (h *httpResponder) close() {}
+
+func (h *httpResponder) setWriteDeadline(t time.Time) error { return h.rc.SetWriteDeadline(t) }
 
 func (h *httpResponder) fail(status int, err error) {
 	b, _ := json.Marshal(errorBody{Error: err.Error(), Draining: errors.Is(err, ErrDraining)}) // a string and a bool always encode
@@ -697,9 +724,10 @@ func (s *Server) dispatchConn(c net.Conn, hl *chanListener) {
 // accepting, binary connections waiting for a request get a drain
 // frame and close, and in-flight requests get DrainTimeout to finish.
 // If any are still running at the deadline, the abort fires — streams
-// then terminate with the typed drain error at their next chunk — and
-// one more short grace is granted. Returns nil when
-// everything wound down, ErrDrainTimeout otherwise. Idempotent; the
+// then terminate with the typed drain error at their next chunk, and a
+// stream write still blocked halfway through the grace fails — and one
+// more short grace (1–2s) is granted. Returns nil when every request
+// has ended, ErrDrainTimeout otherwise. Idempotent; the
 // first caller wins. ctx bounds the total wait on top of the
 // configured timeouts.
 func (s *Server) Drain(ctx context.Context) error {
@@ -709,11 +737,10 @@ func (s *Server) Drain(ctx context.Context) error {
 		return nil
 	}
 	s.state.Store(stateDraining)
-	close(s.drainCh)
+	s.startDrain()
 	s.drainMu.Unlock()
 
 	s.closeListeners()
-	s.wakeIdle()
 
 	done := make(chan struct{})
 	go func() {
@@ -735,15 +762,14 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 
 	// Deadline passed: cut streams loose with the typed error and give
-	// them a moment to notice.
+	// them a moment to notice. A stream can be megabytes ahead of a
+	// client that still reads, and its blocked write wakes only once
+	// the client has read a good share of that, hence the 1s floor.
+	// Writes get half the grace, so a stream blocked on a client that
+	// stopped reading gives up its write and still ends inside it.
+	grace := min(max(s.cfg.DrainTimeout/4, time.Second), 2*time.Second)
+	s.abortBy.Store(time.Now().Add(grace / 2).UnixNano())
 	s.abort()
-	grace := s.cfg.DrainTimeout / 4
-	if grace > 2*time.Second {
-		grace = 2 * time.Second
-	}
-	if grace < 100*time.Millisecond {
-		grace = 100 * time.Millisecond
-	}
 	select {
 	case <-done:
 		return drained()
@@ -767,13 +793,12 @@ func (s *Server) Close() {
 	s.drainMu.Lock()
 	if s.state.Load() == stateServing {
 		s.state.Store(stateDrained)
-		close(s.drainCh)
 	}
+	s.startDrain()
 	s.drainMu.Unlock()
 	s.drainComplete()
 	s.sweepOnce.Do(func() { close(s.sweepStop) })
 	s.closeListeners()
-	s.wakeIdle()
 }
 
 func (s *Server) closeListeners() {
